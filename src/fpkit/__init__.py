@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 
 from .core import (
     BundleWeights,
-    DerivedPointInvariants,
     FixedPointData,
     FixedPointDatum,
     ValidationError,
     betti_numbers,
-    derive_invariants,
     dump,
     iter_documents,
     load,
@@ -60,7 +58,6 @@ from .localization import (
 from .models import (
     PairRestrictionReport,
     PointRestriction,
-    hyperplane_model,
     linear_pn,
     pair_restriction_check,
 )
@@ -76,12 +73,10 @@ from .search import (
 __all__ = [
     "__version__",
     "BundleWeights",
-    "DerivedPointInvariants",
     "FixedPointData",
     "FixedPointDatum",
     "ValidationError",
     "betti_numbers",
-    "derive_invariants",
     "dump",
     "iter_documents",
     "load",
@@ -117,7 +112,6 @@ __all__ = [
     "residue_sum",
     "PairRestrictionReport",
     "PointRestriction",
-    "hyperplane_model",
     "linear_pn",
     "pair_restriction_check",
     "RigidityExperiment",

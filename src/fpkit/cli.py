@@ -22,9 +22,11 @@ from .core import (
     FixedPointData,
     ValidationError,
     betti_numbers,
-    load,
+    iter_documents,
+    loads,
     projective_profile,
     serialize,
+    validate,
 )
 from .hattori import (
     BundleDerivationError,
@@ -35,12 +37,11 @@ from .hattori import (
 from .laurent import LaurentPoly
 from .localization import (
     c1cn1_from_k2,
-    c1_power,
     chi_y_from_data,
     k_coefficients,
     residue_sum,
 )
-from .models import hyperplane_model, linear_pn, pair_restriction_check
+from .models import linear_pn, pair_restriction_check
 from .search import SearchSpaceError, SearchSpec, rigidity_experiment
 
 SCHEMA_VERSION = "1"
@@ -50,17 +51,21 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
+def _dumps(document: dict) -> str:
+    # exact rationals are left as Fraction and written as fraction strings
+    try:
+        return json.dumps(document, indent=2, default=str) + "\n"
+    except ValueError as exc:  # an integer past the str conversion limit
+        raise ValidationError(f"result cannot be written exactly: {exc}") from exc
+
+
 def _emit(document: dict) -> None:
-    print(json.dumps(document, indent=2))
+    sys.stdout.write(_dumps(document))
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INVALID
-
-
-def _rational(value) -> str:
-    return str(Fraction(value))
 
 
 def _poly_payload(poly: LaurentPoly, variable: str = "y") -> dict:
@@ -70,19 +75,35 @@ def _poly_payload(poly: LaurentPoly, variable: str = "y") -> dict:
     }
 
 
-def _load(path: str) -> FixedPointData:
+def _read(path: str) -> str:
     try:
-        return load(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}")
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _load(path: str) -> FixedPointData:
+    return loads(_read(path))
+
+
+def _load_stream(path: str) -> list[FixedPointData]:
+    """Every document of a file of one or more concatenated documents."""
+    documents = [validate(raw) for raw in iter_documents(_read(path))]
+    if not documents:
+        raise ValidationError(f"{path} holds no document")
+    return documents
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_weights(raw: str) -> tuple[int, ...]:
@@ -118,30 +139,24 @@ def _parse_embedding(raw: str) -> dict[str, str]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        data = _load(args.path)
-    except ValidationError as exc:
-        return _fail(str(exc))
-    sys.stdout.write(serialize(data))
+    documents = _load_stream(args.path)
+    sys.stdout.write("".join(serialize(data) for data in documents))
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        data = _load(args.path)
-    except ValidationError as exc:
-        return _fail(str(exc))
+def _report(data: FixedPointData) -> dict:
     chi = chi_y_from_data(data)
     coefficients = k_coefficients(chi, data.n)
-    document = {
+    residue_sums = [residue_sum(data, r) for r in range(data.n + 1)]
+    return {
         "schema_version": SCHEMA_VERSION,
         "n": data.n,
         "point_count": data.point_count,
         "euler_characteristic": data.point_count,
         "betti": list(betti_numbers(data)),
         "projective_profile": projective_profile(data),
-        "residue_sums": [_rational(residue_sum(data, r)) for r in range(data.n + 1)],
-        "c1_power": _rational(c1_power(data)),
+        "residue_sums": residue_sums,
+        "c1_power": residue_sums[data.n],
         "chi_y": _poly_payload(chi),
         "k_coefficients": list(coefficients.values),
         "c1cn1": (
@@ -150,30 +165,43 @@ def cmd_report(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    _emit(document)
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    documents = _load_stream(args.path)
+    sys.stdout.write("".join(_dumps(_report(data)) for data in documents))
     return EXIT_OK
 
 
-def _mismatch_payload(verdict: RigidityVerdict) -> list[dict]:
-    return [
-        {
-            "label": mismatch.label,
-            "expected": list(mismatch.expected),
-            "actual": list(mismatch.actual),
-        }
-        for mismatch in verdict.mismatches
-    ]
+def _verdict_payload(verdict: RigidityVerdict) -> dict:
+    """The verdict fields of `hattori`, in output order; a search
+    counterexample reports the same fields except ``condition_c``."""
+    certificate = verdict.condition_c
+    return {
+        "normalized_bundle": list(verdict.normalized_a),
+        "quasi_ample": verdict.quasi_ample,
+        "bundle_power": verdict.bundle_power,
+        "condition_c": (
+            {"k0": certificate.k0, "offset": certificate.offset}
+            if certificate is not None
+            else None
+        ),
+        "condition_c_violation": verdict.condition_c_violation,
+        "mismatches": [
+            {
+                "label": mismatch.label,
+                "expected": list(mismatch.expected),
+                "actual": list(mismatch.actual),
+            }
+            for mismatch in verdict.mismatches
+        ],
+    }
 
 
 def cmd_hattori(args: argparse.Namespace) -> int:
-    try:
-        data = _load(args.path)
-    except ValidationError as exc:
-        return _fail(str(exc))
+    data = _load(args.path)
     try:
         verdict = hattori_verdict(data)
-    except ValidationError as exc:
-        return _fail(str(exc))
     except BundleDerivationError as exc:
         _emit(
             {
@@ -183,53 +211,36 @@ def cmd_hattori(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_FAIL
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "passes": verdict.passes,
-        "normalized_bundle": list(verdict.normalized_a),
-        "quasi_ample": verdict.quasi_ample,
-        "bundle_power": _rational(verdict.bundle_power),
-        "condition_c": (
-            {"k0": verdict.condition_c.k0, "offset": verdict.condition_c.offset}
-            if verdict.condition_c is not None
-            else None
-        ),
-        "condition_c_violation": verdict.condition_c_violation,
-        "mismatches": _mismatch_payload(verdict),
-    }
-    _emit(document)
+    _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "passes": verdict.passes,
+            **_verdict_payload(verdict),
+        }
+    )
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    try:
-        weights = _parse_weights(args.weights)
-        if args.n is not None and args.n != len(weights) - 1:
-            raise ValidationError(
-                f"--n {args.n} disagrees with {len(weights)} weights "
-                f"(expected n + 1 of them)"
-            )
-        if args.hyperplane:
-            data = hyperplane_model(weights[:-1])
-        else:
-            data = linear_pn(weights)
-    except ValidationError as exc:
-        return _fail(str(exc))
-    try:
-        _write_output(serialize(data), args.output)
-    except OSError as exc:
-        return _fail(f"cannot write {args.output}: {exc}")
+    weights = _parse_weights(args.weights)
+    if args.n is not None and args.n != len(weights) - 1:
+        raise ValidationError(
+            f"--n {args.n} disagrees with {len(weights)} weights "
+            f"(expected n + 1 of them)"
+        )
+    # the ambient weights are validated under --hyperplane as well
+    data = linear_pn(weights)
+    if args.hyperplane:
+        data = linear_pn(weights[:-1])
+    _write_output(serialize(data), args.output)
     return EXIT_OK
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    try:
-        ambient = _load(args.ambient)
-        hypersurface = _load(args.hypersurface)
-        embedding = _parse_embedding(args.embedding) if args.embedding else None
-        report = pair_restriction_check(ambient, hypersurface, embedding)
-    except ValidationError as exc:
-        return _fail(str(exc))
+    ambient = _load(args.ambient)
+    hypersurface = _load(args.hypersurface)
+    embedding = _parse_embedding(args.embedding) if args.embedding else None
+    report = pair_restriction_check(ambient, hypersurface, embedding)
     document = {
         "schema_version": SCHEMA_VERSION,
         "passes": report.passes,
@@ -254,56 +265,45 @@ def _weights_payload(data: FixedPointData) -> list[list[int]]:
     return [list(point.weights) for point in data.points]
 
 
+def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> dict:
+    payload = {"weights": _weights_payload(data), **_verdict_payload(verdict)}
+    del payload["condition_c"]
+    return payload
+
+
 def cmd_search(args: argparse.Namespace) -> int:
-    max_leaves = 10**8
     override = os.environ.get("FPKIT_MAX_LEAVES")
-    if override is not None:
-        try:
-            max_leaves = int(override)
-        except ValueError:
-            return _fail(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
     try:
-        k0 = _parse_k0(args.k0) if args.k0 is not None else None
-        if k0 is not None and k0.denominator == 1:
-            k0 = int(k0)
-        spec = SearchSpec(
-            n=args.n,
-            bound=args.bound,
-            require_projective_profile=args.require_profile,
-            require_condition_c=args.require_condition_c,
-            k0=k0,
-            max_leaves=max_leaves,
-        )
-        experiment = rigidity_experiment(spec, workers=args.workers)
-    except (ValidationError, SearchSpaceError) as exc:
-        return _fail(str(exc))
+        max_leaves = 10**8 if override is None else int(override)
+    except ValueError:
+        raise ValidationError(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
+    k0 = _parse_k0(args.k0) if args.k0 is not None else None
+    spec = SearchSpec(
+        n=args.n,
+        bound=args.bound,
+        require_projective_profile=args.require_profile,
+        require_condition_c=args.require_condition_c,
+        k0=k0,
+        max_leaves=max_leaves,
+    )
+    experiment = rigidity_experiment(spec)
     if args.output is not None:
         stream = "".join(serialize(data) for data in experiment.survivors)
-        try:
-            _write_output(stream, args.output)
-        except OSError as exc:
-            return _fail(f"cannot write {args.output}: {exc}")
+        _write_output(stream, args.output)
     document = {
         "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "bound": spec.bound,
         "require_projective_profile": spec.require_projective_profile,
         "require_condition_c": spec.require_condition_c,
-        "k0": _rational(spec.effective_k0) if spec.require_condition_c else None,
+        "k0": Fraction(spec.effective_k0) if spec.require_condition_c else None,
         "survivor_count": experiment.survivor_count,
         "match_count": len(experiment.matches),
         "counterexample_count": len(experiment.counterexamples),
         "hypothesis_failure_count": len(experiment.hypothesis_failures),
         "matches": [_weights_payload(data) for data in experiment.matches],
         "counterexamples": [
-            {
-                "weights": _weights_payload(data),
-                "normalized_bundle": list(verdict.normalized_a),
-                "quasi_ample": verdict.quasi_ample,
-                "bundle_power": _rational(verdict.bundle_power),
-                "condition_c_violation": verdict.condition_c_violation,
-                "mismatches": _mismatch_payload(verdict),
-            }
+            _counterexample_payload(data, verdict)
             for data, verdict in experiment.counterexamples
         ],
         "hypothesis_failures": [
@@ -316,20 +316,16 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_c1candidates(args: argparse.Namespace) -> int:
-    try:
-        candidates = first_chern_candidates(args.n)
-    except ValidationError as exc:
-        return _fail(str(exc))
     document = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
         "candidates": [
             {
-                "value": _rational(candidate.value),
+                "value": candidate.value,
                 "admissible": candidate.admissible,
                 "reason": candidate.reason,
             }
-            for candidate in candidates
+            for candidate in first_chern_candidates(args.n)
         ],
     }
     _emit(document)
@@ -394,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep only survivors admitting the affine weight-sum relation",
     )
     sub.add_argument("--k0", help="relation multiplier (integer or fraction; default n+1)")
-    sub.add_argument("--workers", type=int, default=1, help="parallel worker count")
     sub.add_argument("--output", help="write the survivor stream to this file")
     sub.set_defaults(handler=cmd_search)
 
@@ -411,7 +406,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValidationError, SearchSpaceError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -120,15 +120,6 @@ class FixedPointDatum:
 
 
 @dataclasses.dataclass(frozen=True)
-class DerivedPointInvariants:
-    """Per-point derived quantities: weight sum, weight product, negative count."""
-
-    weight_sum: int
-    weight_product: int
-    negative_count: int
-
-
-@dataclasses.dataclass(frozen=True)
 class FixedPointData:
     """Validated fixed-point data: dimension, points, optional bundle weights."""
 
@@ -231,7 +222,7 @@ def loads(text: str) -> FixedPointData:
     """Validate a JSON interchange document given as a string."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the str conversion limit
         raise ValidationError(f"malformed JSON document: {exc}") from exc
     return validate(raw)
 
@@ -282,17 +273,9 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
             return
         try:
             document, position = decoder.raw_decode(text, position)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed document stream: {exc}") from exc
+        except ValueError as exc:  # also an integer past the str conversion limit
+            raise ValidationError(f"malformed JSON document: {exc}") from exc
         yield document
-
-
-def derive_invariants(data: FixedPointData) -> tuple[DerivedPointInvariants, ...]:
-    """Per-point weight sum, weight product, and negative-weight count."""
-    return tuple(
-        DerivedPointInvariants(p.weight_sum, p.weight_product, p.negative_count)
-        for p in data.points
-    )
 
 
 def betti_numbers(data: FixedPointData) -> tuple[int, ...]:

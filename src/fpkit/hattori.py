@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import isqrt
 from typing import Sequence
 
 from . import localization
@@ -186,27 +185,12 @@ def check_quasi_ample(data: FixedPointData, bundle: BundleWeights) -> bool:
 
 
 def _solve_vandermonde(nodes: Sequence[int]) -> tuple[Fraction, ...]:
-    # Solve sum_s nodes[s]^r * x_s = 0 for r = 0..t-1 by elimination and
-    # back-substitution; distinct nodes make the system uniquely solvable.
-    t = len(nodes)
-    rows = [[Fraction(node) ** r for node in nodes] + [Fraction(0)] for r in range(t)]
-    for col in range(t):
-        pivot = next((r for r in range(col, t) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("grouped weight sums produced a singular system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, t):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                for c in range(col, t + 1):
-                    rows[r][c] -= factor * rows[col][c]
-    solution = [Fraction(0)] * t
-    for r in range(t - 1, -1, -1):
-        acc = rows[r][t]
-        for c in range(r + 1, t):
-            acc -= rows[r][c] * solution[c]
-        solution[r] = acc / rows[r][r]
-    return tuple(solution)
+    """Solve sum_s nodes[s]^r * x_s = 0 for r = 0..t-1, t = len(nodes).
+
+    The system is homogeneous and its Vandermonde matrix is invertible
+    because the nodes are distinct, so its unique solution is zero.
+    """
+    return (Fraction(0),) * len(nodes)
 
 
 def distinctness_analysis(
@@ -262,12 +246,10 @@ def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-    discriminant = 9 * (n + 1) ** 2 - 8 * (n + 1) ** 2
-    root = isqrt(discriminant)
-    if root * root != discriminant:
-        raise ArithmeticError("discriminant is not a perfect square")
+    # the discriminant 9(n+1)^2 - 8(n+1)^2 is (n+1)^2, so the roots are
+    # (3(n+1) +- (n+1)) / 4
     candidates = []
-    for value in (Fraction(3 * (n + 1) + root, 4), Fraction(3 * (n + 1) - root, 4)):
+    for value in (Fraction(n + 1), Fraction(n + 1, 2)):
         if value.denominator != 1:
             candidates.append(
                 ChernClassCandidate(value, False, "rejected: not an integer")
@@ -314,8 +296,9 @@ def hattori_verdict(
             f"{data.point_count}"
         )
     normalized = bundle.normalized()
-    quasi_ample = check_quasi_ample(data, normalized)
     bundle_power = localization.line_bundle_power(data, normalized)
+    # check_quasi_ample's test, on the power evaluated once
+    quasi_ample = normalized.pairwise_distinct() and bundle_power != 0
     try:
         certificate = check_condition_c(data, normalized, scale)
         violation = None

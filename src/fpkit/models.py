@@ -16,18 +16,32 @@ from .core import (
 )
 
 
-def _linear_data(values: Sequence[int], role: str) -> FixedPointData:
+def linear_pn(values: Sequence[int]) -> FixedPointData:
+    """Fixed-point data of the diagonal circle action on projective space.
+
+    Given n+1 pairwise distinct integers, point i gets the weight multiset
+    of pairwise differences from entry i to every other entry, and the
+    entries themselves are attached as the bundle weights of the induced
+    lift on the hyperplane bundle.  Dropping the last entry gives the data
+    of the invariant hyperplane, whose fixed points are the first n ones.
+
+    >>> data = linear_pn((0, 1, 3))
+    >>> [p.weights for p in data.points]
+    [(-3, -1), (-2, 1), (2, 3)]
+    >>> data.bundle.values
+    (0, 1, 3)
+    """
     entries = tuple(values)
     if len(entries) < 2:
         raise ValidationError(
-            f"dimension must be >= 1: the {role} needs at least two weights, "
+            "dimension must be >= 1: the linear model needs at least two weights, "
             f"got {len(entries)}"
         )
     seen = set()
     for value in entries:
         if value in seen:
             raise ValidationError(
-                f"{role} weights must be pairwise distinct, {value} repeats"
+                f"linear model weights must be pairwise distinct, {value} repeats"
             )
         seen.add(value)
     points = tuple(
@@ -38,33 +52,6 @@ def _linear_data(values: Sequence[int], role: str) -> FixedPointData:
         for i, a in enumerate(entries)
     )
     return FixedPointData(len(entries) - 1, points, BundleWeights(entries))
-
-
-def linear_pn(values: Sequence[int]) -> FixedPointData:
-    """Fixed-point data of the diagonal circle action on projective space.
-
-    Given n+1 pairwise distinct integers, point i gets the weight multiset
-    of pairwise differences from entry i to every other entry, and the
-    entries themselves are attached as the bundle weights of the induced
-    lift on the hyperplane bundle.
-
-    >>> data = linear_pn((0, 1, 3))
-    >>> [p.weights for p in data.points]
-    [(-3, -1), (-2, 1), (2, 3)]
-    >>> data.bundle.values
-    (0, 1, 3)
-    """
-    return _linear_data(values, "linear model")
-
-
-def hyperplane_model(values: Sequence[int]) -> FixedPointData:
-    """The same pairwise-difference recipe one dimension down.
-
-    Dropping the last coordinate of an ambient linear model leaves an
-    invariant hyperplane whose fixed points are the first n ambient ones;
-    its data is the linear model built on the n remaining weight entries.
-    """
-    return _linear_data(values, "hyperplane model")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,18 +15,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Iterator
 
 from .core import FixedPointData, FixedPointDatum, ValidationError, projective_profile
-from .hattori import (
-    BundleDerivationError,
-    RigidityVerdict,
-    derive_bundle_weights,
-    hattori_verdict,
-)
-from .localization import line_bundle_power, residue_sum
+from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict
+from .localization import residue_sum
 
 
 class SearchSpaceError(RuntimeError):
@@ -181,16 +175,13 @@ def _complete_from(
     return out
 
 
-def enumerate_survivors(spec: SearchSpec, workers: int = 1) -> Iterator[FixedPointData]:
+def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     """Yield every survivor of the sweep in canonical order.
 
-    The stream is identical across runs and across worker counts: work is
-    partitioned by the first point's pool index and results are merged in
-    pool order.  Raises SearchSpaceError when the raw space exceeds the
-    spec's leaf budget.
+    The stream is identical across runs: candidates are visited by the
+    first point's pool index, in pool order.  Raises SearchSpaceError when
+    the raw space exceeds the spec's leaf budget.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     leaves = leaf_count(spec)
     if leaves > spec.max_leaves:
         raise SearchSpaceError(
@@ -198,39 +189,31 @@ def enumerate_survivors(spec: SearchSpec, workers: int = 1) -> Iterator[FixedPoi
             f"{spec.max_leaves}; raise max_leaves to proceed"
         )
     pool = _weight_pool(spec)
-    if workers == 1:
-        for first in range(len(pool)):
-            yield from _complete_from(spec, pool, first)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        for chunk in executor.map(
-            lambda first: _complete_from(spec, pool, first), range(len(pool))
-        ):
-            yield from chunk
+    for first in range(len(pool)):
+        yield from _complete_from(spec, pool, first)
 
 
-def rigidity_experiment(spec: SearchSpec, workers: int = 1) -> RigidityExperiment:
+def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
     """Sweep the space and sort every survivor into match, counterexample,
-    or hypothesis failure."""
+    or hypothesis failure by its rigidity verdict."""
     survivors: list[FixedPointData] = []
     matches: list[FixedPointData] = []
     counterexamples: list[tuple[FixedPointData, RigidityVerdict]] = []
     failures: list[tuple[FixedPointData, str]] = []
-    for data in enumerate_survivors(spec, workers=workers):
+    for data in enumerate_survivors(spec):
         survivors.append(data)
         try:
-            bundle = derive_bundle_weights(data)
+            verdict = hattori_verdict(data)
         except BundleDerivationError as exc:
             failures.append((data, f"bundle derivation failed: {exc}"))
             continue
-        if not bundle.pairwise_distinct():
+        # the hypotheses in order of precedence: a derivable bundle, pairwise
+        # distinct bundle weights, a nonvanishing top power
+        if len(set(verdict.normalized_a)) != len(verdict.normalized_a):
             failures.append((data, "derived bundle weights are not pairwise distinct"))
-            continue
-        if line_bundle_power(data, bundle) == 0:
+        elif verdict.bundle_power == 0:
             failures.append((data, "top power of the derived bundle vanishes"))
-            continue
-        verdict = hattori_verdict(data, bundle=bundle)
-        if verdict.passes:
+        elif verdict.passes:
             matches.append(data)
         else:
             counterexamples.append((data, verdict))

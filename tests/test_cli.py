@@ -1,12 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from fpkit.cli import main
-from fpkit.core import dump, serialize, validate
-from fpkit.models import hyperplane_model, linear_pn
+from fpkit.core import dump, iter_documents, serialize, validate
+from fpkit.models import linear_pn
 
 
 @pytest.fixture
@@ -19,7 +20,7 @@ def model_file(tmp_path):
 @pytest.fixture
 def hyperplane_file(tmp_path):
     path = tmp_path / "hyperplane.json"
-    dump(hyperplane_model((0, 1)), path)
+    dump(linear_pn((0, 1)), path)
     return str(path)
 
 
@@ -145,7 +146,7 @@ def test_model_emits_canonical_document(capsys):
 def test_model_hyperplane_drops_last_weight(capsys):
     code, out, _ = run(capsys, "model", "--weights", "0,1,3", "--hyperplane")
     assert code == 0
-    assert out == serialize(hyperplane_model((0, 1)))
+    assert out == serialize(linear_pn((0, 1)))
 
 
 def test_model_dimension_cross_check(capsys):
@@ -159,6 +160,11 @@ def test_model_dimension_cross_check(capsys):
 def test_model_rejects_repeated_weights(capsys):
     code, _, err = run(capsys, "model", "--weights", "0,1,1")
     assert code == 2
+    assert "repeats" in err
+    # the dropped last weight is checked too
+    code, out, err = run(capsys, "model", "--weights", "0,1,1", "--hyperplane")
+    assert code == 2
+    assert out == ""
     assert "repeats" in err
 
 
@@ -242,8 +248,6 @@ def test_search_report_and_stream(capsys, tmp_path):
     assert document["counterexample_count"] == 0
     assert document["matches"] == [[[-3], [3]], [[-2], [2]], [[-1], [1]]]
 
-    from fpkit.core import iter_documents
-
     docs = [validate(doc) for doc in iter_documents(stream_path.read_text())]
     assert [[list(p.weights) for p in d.points] for d in docs] == document["matches"]
 
@@ -291,14 +295,59 @@ def test_search_respects_leaf_budget_env(capsys, monkeypatch):
     assert "FPKIT_MAX_LEAVES" in err
 
 
-def test_search_workers_match_serial_output(capsys):
-    code, serial, _ = run(capsys, "search", "--n", "2", "--bound", "3")
-    assert code == 0
-    code, threaded, _ = run(
-        capsys, "search", "--n", "2", "--bound", "3", "--workers", "4"
+def test_survivor_stream_reads_back_through_validate_and_report(capsys, tmp_path):
+    stream_path = tmp_path / "survivors.json"
+    code, out, _ = run(
+        capsys, "search", "--n", "2", "--bound", "3", "--output", str(stream_path)
     )
     assert code == 0
-    assert serial == threaded
+    survivors = [validate(doc) for doc in iter_documents(stream_path.read_text())]
+    assert len(survivors) == json.loads(out)["survivor_count"] > 1
+
+    code, out, err = run(capsys, "validate", str(stream_path))
+    assert (code, err) == (0, "")
+    assert out == stream_path.read_text()
+
+    code, out, err = run(capsys, "report", str(stream_path))
+    assert (code, err) == (0, "")
+    single = tmp_path / "single.json"
+    reports = []
+    for data in survivors:
+        dump(data, single)
+        reports.append(run(capsys, "report", str(single))[1])
+    assert out == "".join(reports)
+
+
+def test_empty_stream_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(" \n")
+    for command in ("validate", "report"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
+def test_oversized_integers_are_invalid_input(capsys, tmp_path):
+    # a weight past Python's integer string conversion limit
+    path = tmp_path / "huge-weight.json"
+    path.write_text(
+        '{"n": 1, "fixed_points": [{"label": "A", "weights": [%s]}]}' % ("7" * 5000)
+    )
+    for command in ("validate", "report", "hattori"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+    # a valid document whose exact report value is past that limit
+    rng = random.Random(1)
+    points = [
+        {"label": f"P{i}", "weights": [rng.randint(1, 10**6) for _ in range(40)]}
+        for i in range(40)
+    ]
+    path = tmp_path / "huge-report.json"
+    path.write_text(json.dumps({"n": 40, "fixed_points": points}))
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_c1candidates_table(capsys):
@@ -322,12 +371,21 @@ def test_unknown_command_exits_with_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+    code = main(["search", "--n", "2", "--bound", "3", "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err
+    assert code == 2
 
 
-def test_missing_file_is_invalid_input(capsys):
+def test_missing_file_is_invalid_input(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "/nonexistent/file.json")
     assert code == 2
     assert err
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'\xff{"n": 1}')
+    for command in ("validate", "hattori"):
+        code, _, err = run(capsys, command, str(undecodable))
+        assert code == 2
+        assert err.startswith("error: cannot read")
 
 
 def test_module_entry_point_smoke():

@@ -10,7 +10,6 @@ from fpkit.core import (
     FixedPointDatum,
     ValidationError,
     betti_numbers,
-    derive_invariants,
     dump,
     iter_documents,
     load,
@@ -123,6 +122,12 @@ def test_validate_accepts_generated_linear_data():
 def test_loads_rejects_malformed_json():
     with pytest.raises(ValidationError, match="malformed JSON"):
         loads("{not json")
+    # past Python's integer string conversion limit
+    text = '{"n": 1, "fixed_points": [{"label": "A", "weights": [%s]}]}' % ("7" * 5000)
+    with pytest.raises(ValidationError, match="malformed JSON"):
+        loads(text)
+    with pytest.raises(ValidationError, match="malformed JSON"):
+        list(iter_documents(text))
 
 
 def test_serialize_is_canonical_and_newline_terminated():
@@ -146,16 +151,6 @@ def test_iter_documents_splits_concatenated_streams():
     docs = list(iter_documents(text))
     assert [doc["n"] for doc in docs] == [2, 1]
     assert all(serialize(validate(doc)) for doc in docs)
-
-
-def test_derive_invariants_matches_hand_values():
-    data = linear_pn((0, 1, 3))
-    rows = derive_invariants(data)
-    assert [(r.weight_sum, r.weight_product, r.negative_count) for r in rows] == [
-        (-4, 3, 2),
-        (-1, -2, 1),
-        (5, 6, 0),
-    ]
 
 
 def test_betti_numbers_count_negative_weights():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fpkit.core import FixedPointData, FixedPointDatum, ValidationError
 from fpkit.hattori import hattori_verdict
 from fpkit.localization import residue_constraints_hold
-from fpkit.models import hyperplane_model, linear_pn, pair_restriction_check
+from fpkit.models import linear_pn, pair_restriction_check
 
 distinct_entries = st.lists(
     st.integers(min_value=-25, max_value=25), min_size=2, max_size=6, unique=True
@@ -41,10 +41,7 @@ def test_linear_pn_rejects_repeats_and_short_input():
 
 
 def test_hyperplane_model_matches_linear_recipe():
-    assert hyperplane_model((0, 1, 3)) == linear_pn((0, 1, 3))
-    assert [p.weights for p in hyperplane_model((0, 1)).points] == [(-1,), (1,)]
-    with pytest.raises(ValidationError, match="dimension must be >= 1"):
-        hyperplane_model((0,))
+    assert [p.weights for p in linear_pn((0, 1)).points] == [(-1,), (1,)]
 
 
 @given(distinct_entries)
@@ -55,7 +52,7 @@ def test_linear_models_satisfy_expected_invariants(values):
 
 
 def test_pair_restriction_reference_case():
-    report = pair_restriction_check(linear_pn((0, 1, 3)), hyperplane_model((0, 1)))
+    report = pair_restriction_check(linear_pn((0, 1, 3)), linear_pn((0, 1)))
     assert report.passes
     assert report.omitted_label == "P3"
     assert [row.normal_weight for row in report.points] == [-3, -2]
@@ -83,7 +80,7 @@ def test_pair_restriction_rejects_dimension_mismatch():
 
 def test_pair_restriction_validates_embedding():
     ambient = linear_pn((0, 1, 3))
-    hypersurface = hyperplane_model((0, 1))
+    hypersurface = linear_pn((0, 1))
     with pytest.raises(ValidationError, match="every hypersurface point"):
         pair_restriction_check(ambient, hypersurface, {"P1": "P1"})
     with pytest.raises(ValidationError, match="injective"):
@@ -105,7 +102,7 @@ def test_pair_restriction_with_explicit_embedding():
 
 def test_pair_restriction_without_bundle_skips_normal_prediction():
     ambient = FixedPointData(2, linear_pn((0, 1, 3)).points)
-    report = pair_restriction_check(ambient, hyperplane_model((0, 1)))
+    report = pair_restriction_check(ambient, linear_pn((0, 1)))
     assert report.passes
     assert [row.expected_normal for row in report.points] == [None, None]
     assert [row.normal_weight for row in report.points] == [-3, -2]
@@ -116,7 +113,7 @@ def test_pair_normal_weights_complete_the_ambient_sums(values):
     if len(values) < 3:
         values = values + [max(values) + 1]
     ambient = linear_pn(values)
-    hypersurface = hyperplane_model(values[:-1])
+    hypersurface = linear_pn(values[:-1])
     report = pair_restriction_check(ambient, hypersurface)
     assert report.passes
     for row, point in zip(report.points, hypersurface.points):
@@ -128,7 +125,7 @@ def test_pair_expected_normals_follow_bundle_differences():
     rng = random.Random(5)
     for n in range(2, 6):
         values = tuple(rng.sample(range(-20, 21), n + 1))
-        report = pair_restriction_check(linear_pn(values), hyperplane_model(values[:-1]))
+        report = pair_restriction_check(linear_pn(values), linear_pn(values[:-1]))
         assert report.passes
         for i, row in enumerate(report.points):
             assert row.normal_weight == values[i] - values[-1]
