@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Sequence
 
 from . import localization
 from .core import BundleWeights, FixedPointData, ValidationError
@@ -184,15 +183,6 @@ def check_quasi_ample(data: FixedPointData, bundle: BundleWeights) -> bool:
     return bundle.pairwise_distinct() and localization.line_bundle_power(data, bundle) != 0
 
 
-def _solve_vandermonde(nodes: Sequence[int]) -> tuple[Fraction, ...]:
-    """Solve sum_s nodes[s]^r * x_s = 0 for r = 0..t-1, t = len(nodes).
-
-    The system is homogeneous and its Vandermonde matrix is invertible
-    because the nodes are distinct, so its unique solution is zero.
-    """
-    return (Fraction(0),) * len(nodes)
-
-
 def distinctness_analysis(
     data: FixedPointData, *, require_residue_constraints: bool = True
 ) -> DistinctnessReport:
@@ -213,18 +203,22 @@ def distinctness_analysis(
             "require_residue_constraints=False to analyze it anyway"
         )
     grouped: dict[int, list[str]] = {}
-    products: dict[int, list[int]] = {}
     for point in data.points:
         grouped.setdefault(point.weight_sum, []).append(point.label)
-        products.setdefault(point.weight_sum, []).append(point.weight_product)
     sums = tuple(sorted(grouped))
     groups = tuple(tuple(grouped[s]) for s in sums)
+    # one indicator column per group: its mu is the group's reciprocal-product sum
     mu = tuple(
-        sum((Fraction(1, e) for e in products[s]), Fraction(0)) for s in sums
+        localization.localize(
+            data, ([int(p.weight_sum == s) for p in data.points] for s in sums)
+        )
     )
     verdict = "distinct" if len(groups) == data.point_count else "grouped"
     applies = constraints_ok and len(groups) <= data.n
-    forced = _solve_vandermonde(sums) if applies else None
+    # the system sum_s s^r mu_s = 0 (r < number of groups) is homogeneous and
+    # its Vandermonde matrix over the distinct sums is invertible, so the
+    # only solution is zero
+    forced = (Fraction(0),) * len(sums) if applies else None
     return DistinctnessReport(
         verdict=verdict,
         groups=groups,

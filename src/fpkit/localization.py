@@ -2,17 +2,19 @@
 
 Every quantity here is a finite sum over fixed points of symmetric
 functions of the weights divided by the weight product, evaluated in exact
-rational arithmetic.  The genus polynomial of the standard projective
-model is additionally computed a second, independent way, from a truncated
-power series with exact rational coefficients, so the two routes can be
-checked against each other.
+rational arithmetic, and every one goes through :func:`localize`, which
+puts the points over the lcm of their weight products.  The genus
+polynomial of the standard projective model is additionally computed a
+second, independent way, as an integer residue sum from its characteristic
+power series, so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm, prod
 from typing import Iterable, Sequence
 
 from .core import BundleWeights, FixedPointData
@@ -56,20 +58,21 @@ class KCoefficients:
         return len(self.values)
 
 
-def _common_denominator_sum(numerator_for_point, data: FixedPointData) -> Fraction:
-    # Accumulate sum_i f_i / e_i over the common denominator prod |e_i|;
-    # keeps every intermediate value an integer.
+def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fraction]:
+    """The localization kernel: sum_i column[i] / e_i for every column.
+
+    Each column holds one integer numerator per point, in point order, and
+    e_i is the weight product of point i.  The lcm of the products and the
+    signed cofactors lcm // e_i are computed once per call, so each column
+    is a single integer dot product over that common denominator.
+    """
     products = [p.weight_product for p in data.points]
-    denominator = 1
-    for e in products:
-        denominator *= abs(e)
-    numerator = 0
-    for point, e in zip(data.points, products):
-        cofactor = denominator // abs(e)
-        if e < 0:
-            cofactor = -cofactor
-        numerator += numerator_for_point(point) * cofactor
-    return Fraction(numerator, denominator)
+    denominator = lcm(*products)
+    cofactors = [denominator // e for e in products]
+    return [
+        Fraction(sum(map(operator.mul, column, cofactors)), denominator)
+        for column in columns
+    ]
 
 
 def residue_sum(data: FixedPointData, power: int) -> Fraction:
@@ -81,12 +84,14 @@ def residue_sum(data: FixedPointData, power: int) -> Fraction:
     """
     if power < 0:
         raise ValueError(f"power must be nonnegative, got {power}")
-    return _common_denominator_sum(lambda p: p.weight_sum**power, data)
+    return localize(data, [[p.weight_sum**power for p in data.points]])[0]
 
 
 def residue_constraints_hold(data: FixedPointData) -> bool:
     """True when residue_sum(data, r) vanishes for every r in 0..n-1."""
-    return all(residue_sum(data, r) == 0 for r in range(data.n))
+    sums = [p.weight_sum for p in data.points]
+    columns = ([s**r for s in sums] for r in range(data.n))
+    return all(value == 0 for value in localize(data, columns))
 
 
 def c1_power(data: FixedPointData) -> Fraction:
@@ -117,15 +122,8 @@ def chern_monomial(data: FixedPointData, monomial: ChernMonomial | Iterable[int]
         raise ValueError(
             f"monomial degree {monomial.degree} does not match n = {data.n}"
         )
-
-    def term(point):
-        sigma = _elementary_symmetric(point.weights)
-        product = 1
-        for i in monomial.indices:
-            product *= sigma[i]
-        return product
-
-    return _common_denominator_sum(term, data)
+    sigmas = [_elementary_symmetric(p.weights) for p in data.points]
+    return localize(data, [[prod(s[i] for i in monomial.indices) for s in sigmas]])[0]
 
 
 def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
@@ -140,8 +138,7 @@ def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
             f"bundle weight count {len(bundle)} does not match point count "
             f"{data.point_count}"
         )
-    values = dict(zip(data.labels, bundle.values))
-    return _common_denominator_sum(lambda p: values[p.label] ** data.n, data)
+    return localize(data, [[a**data.n for a in bundle.values]])[0]
 
 
 def chi_y_from_data(data: FixedPointData) -> LaurentPoly:
@@ -152,80 +149,30 @@ def chi_y_from_data(data: FixedPointData) -> LaurentPoly:
     )
 
 
-# -- power-series route for the standard projective model --------------------
-
-def _series_reciprocal(series: list[Fraction], order: int) -> list[Fraction]:
-    # reciprocal of a unit power series, truncated at x^order
-    lead = series[0]
-    if lead == 0:
-        raise ValueError("series has no reciprocal: constant term is zero")
-    inverse = [Fraction(1) / lead]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(series):
-                acc += series[j] * inverse[k - j]
-        inverse.append(-acc / lead)
-    return inverse
-
-
-def _ypoly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _xseries_mul(a, b, order: int):
-    # product of x-series whose coefficients are polynomials in y
-    out = [[Fraction(0)] for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        for j in range(0, order + 1 - i):
-            if j < len(b):
-                term = _ypoly_mul(ai, b[j])
-                acc = out[i + j]
-                if len(acc) < len(term):
-                    acc.extend([Fraction(0)] * (len(term) - len(acc)))
-                for k, c in enumerate(term):
-                    acc[k] += c
-    return out
-
+# -- residue route for the standard projective model -------------------------
 
 def chi_y_hrr_projective(n: int) -> LaurentPoly:
     """The genus polynomial of the dimension-n projective model from its
-    characteristic power series.
+    characteristic power series, without reading any fixed-point data.
 
     The n Chern roots contribute the (n+1)-fold product of the series
-    x(1 + y e^{-x}) / (1 - e^{-x}) divided by the value (1 + y) that the
-    trivial summand of the twisted tangent sum contributes; the coefficient
-    of x^n is the answer.  All series coefficients are exact rationals.
+    Q(x) = x(1 + y e^{-x}) / (1 - e^{-x}) divided by the value (1 + y) that
+    the trivial summand of the twisted tangent sum contributes; the genus
+    is the coefficient of x^n.  That coefficient is the residue at x = 0 of
+    ((1 + y e^{-x}) / (1 - e^{-x}))^{n+1} dx.  Substituting u = 1 - e^{-x},
+    so e^{-x} = 1 - u and dx = du / (1 - u), turns it into the coefficient
+    of u^n in (1 + y - yu)^{n+1} / (1 - u), that is the sum over k <= n of
+    C(n+1, k) (-y)^k (1 + y)^{n+1-k}.  Every term keeps a factor 1 + y, so
+    the genus is the integer polynomial
+    sum over k <= n of C(n+1, k) (-y)^k (1 + y)^{n-k}.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    # (1 - e^{-x}) / x and its reciprocal, truncated at x^n
-    base = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
-    todd = _series_reciprocal(base, n)
-    # one factor: todd * (1 + y e^{-x}); x-coefficients are linear in y
-    expneg = [Fraction((-1) ** k, factorial(k)) for k in range(n + 1)]
-    factor = []
+    coefficients = [0] * (n + 1)
     for k in range(n + 1):
-        ycoef = sum((todd[k - j] * expneg[j] for j in range(k + 1)), Fraction(0))
-        factor.append([todd[k], ycoef])
-    power = [[Fraction(1)]] + [[Fraction(0)] for _ in range(n)]
-    for _ in range(n + 1):
-        power = _xseries_mul(power, factor, n)
-    top = power[n]
-    # exact division by (1 + y)
-    quotient = [Fraction(0)] * (len(top) - 1)
-    for k in range(len(top) - 1):
-        quotient[k] = top[k] - (quotient[k - 1] if k else Fraction(0))
-    if (quotient[-1] if quotient else Fraction(0)) != top[-1]:
-        raise ArithmeticError("genus series is not divisible by 1 + y")
-    if any(c.denominator != 1 for c in quotient):
-        raise ArithmeticError("genus polynomial has non-integer coefficients")
-    return LaurentPoly((k, int(c)) for k, c in enumerate(quotient))
+        for j in range(n - k + 1):
+            coefficients[k + j] += (-1) ** k * comb(n + 1, k) * comb(n - k, j)
+    return LaurentPoly(enumerate(coefficients))
 
 
 def k_coefficients(chi: LaurentPoly, n: int) -> KCoefficients:

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum
+from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
 from fpkit.localization import (
     ChernMonomial,
@@ -186,3 +190,101 @@ def test_chi_y_duality_when_profile_symmetric(data):
 @given(st.integers(min_value=1, max_value=6))
 def test_hrr_agrees_with_fixed_point_route(n):
     assert chi_y_hrr_projective(n) == chi_y_from_data(linear_pn(tuple(range(n + 1))))
+
+
+# -- the kernel against a plain sum of fractions ------------------------------
+
+def plain_sum(data, numerators):
+    return sum(
+        (Fraction(f, p.weight_product) for f, p in zip(numerators, data.points)),
+        Fraction(0),
+    )
+
+
+@st.composite
+def unrealizable_data(draw):
+    # mixed signs and repeated points; no residue constraint is imposed
+    n = draw(st.integers(min_value=1, max_value=5))
+    weight = st.integers(min_value=-6, max_value=6).filter(lambda w: w != 0)
+    multiset = st.lists(weight, min_size=n, max_size=n)
+    pool = draw(st.lists(multiset, min_size=1, max_size=8))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    points = tuple(FixedPointDatum(f"P{i + 1}", w) for i, w in enumerate(chosen))
+    return FixedPointData(n, points)
+
+
+@given(unrealizable_data(), st.data())
+def test_kernel_matches_plain_fraction_sums(data, draw):
+    n = data.n
+    for r in range(n + 2):
+        assert residue_sum(data, r) == plain_sum(
+            data, [p.weight_sum**r for p in data.points]
+        )
+    assert residue_constraints_hold(data) == all(
+        residue_sum(data, r) == 0 for r in range(n)
+    )
+
+    indices, remaining = [], n
+    while remaining:
+        indices.append(draw.draw(st.integers(min_value=1, max_value=remaining)))
+        remaining -= indices[-1]
+    terms = [
+        math.prod(
+            sum(math.prod(c) for c in itertools.combinations(p.weights, i))
+            for i in indices
+        )
+        for p in data.points
+    ]
+    assert chern_monomial(data, indices) == plain_sum(data, terms)
+
+    bundle = draw.draw(
+        st.lists(
+            st.integers(min_value=-6, max_value=6),
+            min_size=data.point_count,
+            max_size=data.point_count,
+        )
+    )
+    assert line_bundle_power(data, BundleWeights(bundle)) == plain_sum(
+        data, [a**n for a in bundle]
+    )
+
+    sums = sorted({p.weight_sum for p in data.points})
+    report = distinctness_analysis(data, require_residue_constraints=False)
+    assert report.group_mu == tuple(
+        plain_sum(data, [int(p.weight_sum == s) for p in data.points]) for s in sums
+    )
+
+
+def test_residue_sums_of_a_large_model_are_fast():
+    data = linear_pn(range(201))
+    started = time.perf_counter()
+    sums = [residue_sum(data, r) for r in range(data.n + 1)]
+    assert time.perf_counter() - started < 10.0
+    assert len(sums) == 201
+    assert all(value == 0 for value in sums[:200])
+    assert sums[200] == 201**200
+
+
+# -- the HRR route against a sympy power-series oracle ------------------------
+
+def test_hrr_matches_sympy_power_series():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    top_n = 8
+    # one series up to x^top_n serves every n <= top_n: the products below
+    # drop every power above x^n
+    todd = sympy.series(x / (1 - sympy.exp(-x)), x, 0, top_n + 1).removeO()
+    expneg = sympy.series(sympy.exp(-x), x, 0, top_n + 1).removeO()
+    factor = sympy.Poly(sympy.expand(todd * (1 + y * expneg)), x)
+    for n in range(1, top_n + 1):
+        truncation = sympy.Poly(x ** (n + 1), x)
+        power = sympy.Poly(1, x)
+        for _ in range(n + 1):
+            power = (power * factor).rem(truncation)
+        top = sympy.expand(power.coeff_monomial(x**n))
+        quotient, remainder = sympy.div(top, 1 + y, y)
+        assert remainder == 0
+        coefficients = sympy.Poly(quotient, y).all_coeffs()[::-1]
+        assert all(c.is_integer for c in coefficients)
+        expected = LaurentPoly((k, int(c)) for k, c in enumerate(coefficients))
+        assert chi_y_hrr_projective(n) == expected
