@@ -78,8 +78,9 @@ class RigidityExperiment:
     """Partition of the survivor stream by the rigidity pipeline.
 
     ``counterexamples`` holds survivors that satisfy the hypotheses
-    (derivable, pairwise distinct, nonvanishing bundle weights) yet fail
-    the conclusion; a correct theorem makes it empty, so any member is the
+    (derivable, pairwise distinct bundle weights with a nonzero integral
+    top power, as every line bundle on a closed manifold has) yet fail the
+    conclusion; a correct theorem makes it empty, so any member is the
     headline of the report.  ``hypothesis_failures`` pairs each remaining
     survivor with the reason it falls outside the theorem's scope.
     """
@@ -208,11 +209,13 @@ def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
             failures.append((data, f"bundle derivation failed: {exc}"))
             continue
         # the hypotheses in order of precedence: a derivable bundle, pairwise
-        # distinct bundle weights, a nonvanishing top power
+        # distinct bundle weights, a nonvanishing and integral top power
         if len(set(verdict.normalized_a)) != len(verdict.normalized_a):
             failures.append((data, "derived bundle weights are not pairwise distinct"))
         elif verdict.bundle_power == 0:
             failures.append((data, "top power of the derived bundle vanishes"))
+        elif verdict.bundle_power.denominator != 1:
+            failures.append((data, "top power of the derived bundle is not an integer"))
         elif verdict.passes:
             matches.append(data)
         else:

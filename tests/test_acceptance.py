@@ -180,6 +180,9 @@ def test_criterion_10_search_rigidity_experiment():
                 assert hattori_verdict(data).passes
             streams.append("".join(serialize(d) for d in experiment.survivors))
         assert len(set(streams)) == 1
+    # at bound 8 the residue constraints admit data with a fractional top
+    # bundle power, which no manifold has; it is a hypothesis failure
+    assert rigidity_experiment(SearchSpec(n=2, bound=8)).counterexamples == ()
     assert time.perf_counter() - started < 300.0
 
 
