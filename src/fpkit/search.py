@@ -3,15 +3,24 @@
 Candidate data has n+1 points whose weight multisets are drawn (with
 repetition) from all size-n multisets over [-B, B] without 0.  Survivors
 are the candidates passing the residue constraints, plus optional
-projective-profile and affine-relation filters.  The stream is canonically
-ordered and byte-deterministic: the multiset pool is sorted by
-(weight sum, weight product, weights) and candidates are emitted in
-lexicographic order of their non-decreasing pool-index tuples, which makes
-every emitted candidate's points already canonically sorted.
+projective-profile and affine-relation filters.  The enumeration is an
+exact integer depth-first search: over the lcm ``scale`` of the pool's
+weight products each entry has the signed cofactor c = scale / e and the
+moment c * s, so a prefix carries its r = 0 and r = 1 residue sums, times
+``scale``, as two integer partials.  A prefix whose r = 0 partial the
+remaining points cannot cancel is pruned, and the last point is looked up
+rather than looped over: r = 0 pins its cofactor and, for n >= 2, r = 1
+pins its moment.  Each closed candidate is re-checked against every
+residue constraint before the filters.  The stream is canonically ordered
+and byte-deterministic: the multiset pool is sorted by (weight sum, weight
+product, weights) and candidates are emitted in lexicographic order of
+their non-decreasing pool-index tuples, which makes every emitted
+candidate's points already canonically sorted.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -20,7 +29,8 @@ from typing import Iterator
 
 from .core import FixedPointData, FixedPointDatum, ValidationError, projective_profile
 from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict
-from .localization import residue_sum
+from .localization import residue_constraints_hold
+from .localization import residue_sum  # noqa: F401  bench/smoke.py traces it here
 
 
 class SearchSpaceError(RuntimeError):
@@ -127,9 +137,8 @@ def _satisfies_relation(sums: list[int], k0: int | Fraction) -> bool:
 
 
 def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
-    for r in range(1, spec.n):
-        if residue_sum(data, r) != 0:
-            return False
+    if not residue_constraints_hold(data):
+        return False
     if spec.require_projective_profile and not projective_profile(data):
         return False
     if spec.require_condition_c:
@@ -146,36 +155,6 @@ def _build(n: int, entries: list[tuple[int, int, tuple[int, ...]]]) -> FixedPoin
     return FixedPointData(n, points)
 
 
-def _complete_from(
-    spec: SearchSpec,
-    pool: list[tuple[int, int, tuple[int, ...]]],
-    first: int,
-) -> list[FixedPointData]:
-    # all survivors whose lowest pool index is exactly `first`
-    m = spec.point_count
-    out: list[FixedPointData] = []
-    chosen = [first]
-
-    def descend(start: int, partial: Fraction) -> None:
-        depth = len(chosen)
-        if depth == m:
-            if partial == 0:
-                data = _build(spec.n, [pool[i] for i in chosen])
-                if _accept(spec, data):
-                    out.append(data)
-            return
-        # each further point shifts the reciprocal-product sum by at most 1
-        if abs(partial) > m - depth:
-            return
-        for index in range(start, len(pool)):
-            chosen.append(index)
-            descend(index, partial + Fraction(1, pool[index][1]))
-            chosen.pop()
-
-    descend(first, Fraction(1, pool[first][1]))
-    return out
-
-
 def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     """Yield every survivor of the sweep in canonical order.
 
@@ -190,8 +169,36 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
             f"{spec.max_leaves}; raise max_leaves to proceed"
         )
     pool = _weight_pool(spec)
-    for first in range(len(pool)):
-        yield from _complete_from(spec, pool, first)
+    m = spec.point_count
+    # residue sums r = 0 and r = 1 over the common denominator `scale`
+    scale = math.lcm(*(product for _, product, _ in pool))
+    cofactors = [scale // product for _, product, _ in pool]
+    moments = [c * s if spec.n > 1 else 0 for c, (s, _, _) in zip(cofactors, pool)]
+    closing: dict[tuple[int, int], list[int]] = {}
+    for index, key in enumerate(zip(cofactors, moments)):
+        closing.setdefault(key, []).append(index)
+    chosen: list[int] = []
+
+    def descend(start: int, r0: int, r1: int) -> Iterator[FixedPointData]:
+        # r0 and r1 are the prefix's residue sums at powers 0 and 1, times scale
+        depth = len(chosen)
+        # each further point shifts r0 by at most scale
+        if abs(r0) > (m - depth) * scale:
+            return
+        for index in range(start, len(pool)):
+            chosen.append(index)
+            next_r0, next_r1 = r0 + cofactors[index], r1 + moments[index]
+            if depth + 2 < m:
+                yield from descend(index, next_r0, next_r1)
+            # r = 0 pins the last point's cofactor and r = 1 its moment
+            elif (last := closing.get((-next_r0, -next_r1))) is not None:
+                for final in last[bisect.bisect_left(last, index):]:
+                    data = _build(spec.n, [pool[i] for i in chosen + [final]])
+                    if _accept(spec, data):
+                        yield data
+            chosen.pop()
+
+    yield from descend(0, 0, 0)
 
 
 def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:

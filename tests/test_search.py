@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,3 +167,69 @@ def test_rigidity_experiment_evaluates_one_bundle_power_per_verdict(monkeypatch)
     classified = experiment.survivor_count - len(underivable)
     assert classified > 0
     assert len(calls) == classified
+
+
+# -- a test-local brute force as the reference enumeration --------------------
+
+FILTERS = [
+    {},
+    {"require_projective_profile": True},
+    {"require_condition_c": True},
+    {"require_condition_c": True, "k0": 0},
+    {"require_condition_c": True, "k0": 2},
+    {"require_condition_c": True, "k0": Fraction(3, 2)},
+]
+
+
+def reference_survivors(n, bound, require_projective_profile=False,
+                        require_condition_c=False, k0=None):
+    # every (n+1)-multiset of the sorted pool, plain Fraction residue sums
+    values = [w for w in range(-bound, bound + 1) if w != 0]
+    pool = sorted(
+        (sum(combo), math.prod(combo), combo)
+        for combo in itertools.combinations_with_replacement(values, n)
+    )
+    k0 = n + 1 if k0 is None else Fraction(k0)
+    out = []
+    for candidate in itertools.combinations_with_replacement(pool, n + 1):
+        if any(
+            sum(Fraction(s**r, e) for s, e, _ in candidate) != 0 for r in range(n)
+        ):
+            continue
+        weights = [combo for _, _, combo in candidate]
+        if require_projective_profile and sorted(
+            sum(w < 0 for w in combo) for combo in weights
+        ) != list(range(n + 1)):
+            continue
+        if require_condition_c:
+            sums = [s for s, _, _ in candidate]
+            if k0.denominator != 1:
+                continue
+            if k0 == 0 and len(set(sums)) != 1:
+                continue
+            if k0 != 0 and any((s - sums[0]) % k0 for s in sums):
+                continue
+        out.append(weights)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,bound",
+    [(1, b) for b in range(1, 5)] + [(2, b) for b in range(1, 5)] + [(3, 1), (3, 2)],
+)
+def test_enumeration_matches_reference_brute_force(n, bound):
+    for options in FILTERS:
+        survivors = enumerate_survivors(SearchSpec(n=n, bound=bound, **options))
+        assert [
+            [tuple(p.weights) for p in data.points] for data in survivors
+        ] == reference_survivors(n, bound, **options), options
+
+
+def test_rigidity_sweeps_at_3_3_and_4_2_are_fast():
+    started = time.perf_counter()
+    counts = [
+        rigidity_experiment(SearchSpec(n=n, bound=bound)).survivor_count
+        for n, bound in ((3, 3), (4, 2))
+    ]
+    assert time.perf_counter() - started < 2.0
+    assert counts == [21, 8]
