@@ -39,8 +39,7 @@ from .localization import (
     c1cn1_from_k2,
     chi_y_from_data,
     k_coefficients,
-    localize,
-    residue_sum,  # noqa: F401  bench/smoke.py traces it through this module
+    residue_sum,
 )
 from .models import linear_pn, pair_restriction_check
 from .search import SearchSpaceError, SearchSpec, rigidity_experiment
@@ -148,8 +147,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _report(data: FixedPointData) -> dict:
     chi = chi_y_from_data(data)
     coefficients = k_coefficients(chi, data.n)
-    sums = [p.weight_sum for p in data.points]
-    residue_sums = localize(data, ([s**r for s in sums] for r in range(data.n + 1)))
+    residue_sums = [residue_sum(data, r) for r in range(data.n + 1)]
     return {
         "schema_version": SCHEMA_VERSION,
         "n": data.n,

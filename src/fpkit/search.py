@@ -30,7 +30,9 @@ from typing import Iterator
 from .core import FixedPointData, FixedPointDatum, ValidationError, projective_profile
 from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict
 from .localization import residue_constraints_hold
-from .localization import residue_sum  # noqa: F401  bench/smoke.py traces it here
+# Unused: bench/smoke.py checks that the tracer patches this name; drop it once
+# the benchmark traces localization.localize (ROADMAP item 1).
+from .localization import residue_sum  # noqa: F401
 
 
 class SearchSpaceError(RuntimeError):
