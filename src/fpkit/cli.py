@@ -11,6 +11,7 @@ and a human-readable string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -332,7 +333,9 @@ def cmd_c1candidates(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fpkit parser, built once per process; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="fpkit",
         description=(
@@ -401,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; may be called repeatedly in one process."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

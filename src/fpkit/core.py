@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from typing import Any
 
 from .laurent import LaurentPoly
 

@@ -9,10 +9,10 @@ exact as well.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
-Coefficients = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+Coefficients = Mapping[int, int] | Iterable[tuple[int, int]]
 
 
 @dataclasses.dataclass(init=False, frozen=True)

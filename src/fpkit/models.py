@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .core import (
     BundleWeights,

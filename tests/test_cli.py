@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from fpkit.cli import main
+from fpkit.cli import build_parser, main
 from fpkit.core import dump, iter_documents, serialize, validate
 from fpkit.models import linear_pn
 
@@ -397,3 +397,49 @@ def test_module_entry_point_smoke():
     assert completed.returncode == 0
     document = json.loads(completed.stdout)
     assert document["candidates"][0]["value"] == "6"
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_search_flags_do_not_carry_over_to_the_next_call(capsys):
+    code, out, _ = run(
+        capsys,
+        "search",
+        "--n",
+        "2",
+        "--bound",
+        "2",
+        "--require-profile",
+        "--require-condition-c",
+        "--k0",
+        "3/2",
+    )
+    assert code == 0
+    document = json.loads(out)
+    assert document["require_projective_profile"] is True
+    assert document["require_condition_c"] is True
+    assert document["k0"] == "3/2"
+
+    code, out, _ = run(capsys, "search", "--n", "2", "--bound", "2")
+    assert code == 0
+    document = json.loads(out)
+    assert document["require_projective_profile"] is False
+    assert document["require_condition_c"] is False
+    assert document["k0"] is None
+
+
+def test_usage_errors_leave_later_calls_unchanged(capsys, model_file):
+    first = run(capsys, "validate", model_file)
+    assert first[0] == 0
+    for argv in ([], ["search", "--n", "x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: fpkit")
+    assert run(capsys, "validate", model_file) == first
+
+
+def test_version_is_written_on_every_call(capsys):
+    for _ in range(2):
+        assert run(capsys, "--version") == (0, "fpkit 0.1.0\n", "")
