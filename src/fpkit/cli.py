@@ -15,8 +15,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import __version__
 from .core import (

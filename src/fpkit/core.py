@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Iterable, Iterator, Mapping
+from math import lcm
 from typing import Any
 
 from .laurent import LaurentPoly
@@ -158,6 +159,20 @@ class FixedPointData:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.points)
+
+    @property
+    def common_denominator(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm of the weight products and the signed cofactors lcm // e_i,
+        computed on first use and kept, since the instance is frozen."""
+        # a plain memo: before Python 3.12 functools.cached_property locks on
+        # each first access, which the search pays once per candidate
+        memo = self.__dict__.get("_common_denominator")
+        if memo is None:
+            products = [p.weight_product for p in self.points]
+            denominator = lcm(*products)
+            memo = denominator, tuple([denominator // e for e in products])
+            self.__dict__["_common_denominator"] = memo
+        return memo
 
     def point(self, label: str) -> FixedPointDatum:
         for p in self.points:

@@ -3,7 +3,8 @@
 Every quantity here is a finite sum over fixed points of symmetric
 functions of the weights divided by the weight product, evaluated in exact
 rational arithmetic, and every one goes through :func:`localize`, which
-puts the points over the lcm of their weight products.  The genus
+puts the points over the lcm of their weight products.  That lcm and its
+cofactors are computed once per data object, not once per sum.  The genus
 polynomial of the standard projective model is additionally computed a
 second, independent way, as an integer residue sum from its characteristic
 power series, so the two routes can be checked against each other.
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import comb, lcm, prod
-from typing import Iterable, Sequence
+from math import comb, prod
 
 from .core import BundleWeights, FixedPointData
 from .laurent import LaurentPoly
@@ -63,12 +64,11 @@ def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fra
 
     Each column holds one integer numerator per point, in point order, and
     e_i is the weight product of point i.  The lcm of the products and the
-    signed cofactors lcm // e_i are computed once per call, so each column
-    is a single integer dot product over that common denominator.
+    signed cofactors lcm // e_i come from ``data.common_denominator``, which
+    computes them once per data object, so each column is a single integer
+    dot product over that common denominator.
     """
-    products = [p.weight_product for p in data.points]
-    denominator = lcm(*products)
-    cofactors = [denominator // e for e in products]
+    denominator, cofactors = data.common_denominator
     return [
         Fraction(sum(map(operator.mul, column, cofactors)), denominator)
         for column in columns
@@ -99,11 +99,11 @@ def c1_power(data: FixedPointData) -> Fraction:
     return residue_sum(data, data.n)
 
 
-def _elementary_symmetric(values: Sequence[int]) -> list[int]:
-    # coefficients of prod (1 + v z); entry j is sigma_j
-    sigma = [1] + [0] * len(values)
+def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
+    # coefficients of prod (1 + v z) up to z^top; entry j is sigma_j
+    sigma = [1] + [0] * top
     for v in values:
-        for j in range(len(values), 0, -1):
+        for j in range(top, 0, -1):
             sigma[j] += v * sigma[j - 1]
     return sigma
 
@@ -122,7 +122,8 @@ def chern_monomial(data: FixedPointData, monomial: ChernMonomial | Iterable[int]
         raise ValueError(
             f"monomial degree {monomial.degree} does not match n = {data.n}"
         )
-    sigmas = [_elementary_symmetric(p.weights) for p in data.points]
+    top = monomial.indices[0]  # the largest index: indices are sorted descending
+    sigmas = [_elementary_symmetric(p.weights, top) for p in data.points]
     return localize(data, [[prod(s[i] for i in monomial.indices) for s in sigmas]])[0]
 
 

@@ -24,8 +24,8 @@ import bisect
 import dataclasses
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .core import FixedPointData, FixedPointDatum, ValidationError, projective_profile
 from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fpkit import cli
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum
 from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
@@ -82,6 +84,17 @@ def test_chern_monomial_reference_values():
     assert chern_monomial(data, (2,)) == 3
     assert chern_monomial(data, ChernMonomial((1, 1))) == 9
     assert chern_monomial(linear_pn((0, 1)), (1,)) == c1_power(linear_pn((0, 1)))
+
+
+def test_chern_monomial_on_a_large_projective_model():
+    # on the 39-dimensional projective model c = (1 + x)^40 and x^39 integrates
+    # to 1, so c_{i_1} ... c_{i_k} = C(40, i_1) ... C(40, i_k); sigma_j is
+    # expanded only up to the largest index
+    data = linear_pn(range(40))
+    for indices in ([39], [1] * 39, [20, 19], [10, 10, 10, 9], [5] * 7 + [4],
+                    [3] * 13, [2] * 19 + [1]):
+        expected = math.prod(math.comb(40, i) for i in indices)
+        assert chern_monomial(data, indices) == expected, indices
 
 
 def test_chern_monomial_rejects_wrong_degree():
@@ -263,6 +276,56 @@ def test_residue_sums_of_a_large_model_are_fast():
     assert len(sums) == 201
     assert all(value == 0 for value in sums[:200])
     assert sums[200] == 201**200
+
+
+def count_weight_products(monkeypatch):
+    reads = [0]
+    original = FixedPointDatum.weight_product.fget
+
+    def counted(point):
+        reads[0] += 1
+        return original(point)
+
+    monkeypatch.setattr(FixedPointDatum, "weight_product", property(counted))
+    return reads
+
+
+def test_report_computes_the_common_denominator_once(monkeypatch):
+    data = linear_pn(range(90))
+    reads = count_weight_products(monkeypatch)
+    report = cli._report(data)
+    assert report["residue_sums"] == [0] * 89 + [90**89]
+    # one lcm over the 90 weight products, not one per residue power
+    assert reads[0] == data.point_count
+
+
+def test_distinctness_analysis_shares_the_common_denominator(monkeypatch):
+    data = linear_pn((0, 1, 3, 7, 12))
+    reads = count_weight_products(monkeypatch)
+    report = distinctness_analysis(data)
+    assert report.top_power == 5**4
+    assert reads[0] == data.point_count
+
+
+def test_each_data_object_computes_its_own_denominator(monkeypatch):
+    data = linear_pn((0, 1, 3, 7))
+    reads = count_weight_products(monkeypatch)
+    first = data.common_denominator
+    assert data.common_denominator is first
+    assert reads[0] == 4
+    others = (
+        data.with_bundle(BundleWeights((0, 1, 3, 7))),
+        dataclasses.replace(data),
+        FixedPointData(data.n, data.points),
+    )
+    for count, other in enumerate(others, start=2):
+        value = other.common_denominator
+        assert value == first and value is not first
+        assert reads[0] == 4 * count
+    assert first == (
+        math.lcm(*(p.weight_product for p in data.points)),
+        tuple(first[0] // p.weight_product for p in data.points),
+    )
 
 
 # -- the HRR route against a sympy power-series oracle ------------------------
