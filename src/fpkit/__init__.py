@@ -35,7 +35,6 @@ from .hattori import (
     PointMismatch,
     RigidityVerdict,
     check_condition_c,
-    check_quasi_ample,
     derive_bundle_weights,
     distinctness_analysis,
     first_chern_candidates,
@@ -44,7 +43,6 @@ from .hattori import (
 from .laurent import LaurentPoly
 from .localization import (
     ChernMonomial,
-    KCoefficients,
     c1cn1_from_k2,
     c1_power,
     chern_monomial,
@@ -93,14 +91,12 @@ __all__ = [
     "PointMismatch",
     "RigidityVerdict",
     "check_condition_c",
-    "check_quasi_ample",
     "derive_bundle_weights",
     "distinctness_analysis",
     "first_chern_candidates",
     "hattori_verdict",
     "LaurentPoly",
     "ChernMonomial",
-    "KCoefficients",
     "c1cn1_from_k2",
     "c1_power",
     "chern_monomial",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -27,6 +26,7 @@ from .core import (
     loads,
     projective_profile,
     serialize,
+    to_json,
     validate,
 )
 from .hattori import (
@@ -52,16 +52,8 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _dumps(document: dict) -> str:
-    # exact rationals are left as Fraction and written as fraction strings
-    try:
-        return json.dumps(document, indent=2, default=str) + "\n"
-    except ValueError as exc:  # an integer past the str conversion limit
-        raise ValidationError(f"result cannot be written exactly: {exc}") from exc
-
-
 def _emit(document: dict) -> None:
-    sys.stdout.write(_dumps(document))
+    sys.stdout.write(to_json(document))
 
 
 def _fail(message: str) -> int:
@@ -115,8 +107,10 @@ def _parse_weights(raw: str) -> tuple[int, ...]:
 
 
 def _parse_k0(raw: str) -> Fraction:
+    # int on each part, so the str conversion limit also caps the digits
+    numerator, slash, denominator = raw.partition("/")
     try:
-        return Fraction(raw)
+        return Fraction(int(numerator), int(denominator) if slash else 1)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"k0 must be an integer or fraction like 3/2, got {raw!r}")
 
@@ -159,7 +153,7 @@ def _report(data: FixedPointData) -> dict:
         "residue_sums": residue_sums,
         "c1_power": residue_sums[data.n],
         "chi_y": _poly_payload(chi),
-        "k_coefficients": list(coefficients.values),
+        "k_coefficients": list(coefficients),
         "c1cn1": (
             c1cn1_from_k2(coefficients[2], data.point_count, data.n)
             if data.n >= 2
@@ -170,7 +164,7 @@ def _report(data: FixedPointData) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     documents = _load_stream(args.path)
-    sys.stdout.write("".join(_dumps(_report(data)) for data in documents))
+    sys.stdout.write("".join(to_json(_report(data)) for data in documents))
     return EXIT_OK
 
 

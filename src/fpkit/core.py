@@ -36,8 +36,8 @@ class BundleWeights:
     """Line-bundle weights at the fixed points, aligned with the point order.
 
     Two instances describe the same bundle lift exactly when they differ by
-    one simultaneous integer shift; :meth:`equivalent` tests that, and
-    :meth:`normalized` picks the representative with first entry zero.
+    one simultaneous integer shift; :meth:`normalized` picks the
+    representative with first entry zero.
     """
 
     values: tuple[int, ...]
@@ -53,9 +53,6 @@ class BundleWeights:
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
 
-    def __getitem__(self, index: int) -> int:
-        return self.values[index]
-
     def shifted(self, offset: int) -> BundleWeights:
         return BundleWeights(v + offset for v in self.values)
 
@@ -64,15 +61,6 @@ class BundleWeights:
         if not self.values:
             return self
         return self.shifted(-self.values[0])
-
-    def equivalent(self, other: BundleWeights) -> bool:
-        """True when the sequences differ by a simultaneous integer shift."""
-        if len(self.values) != len(other.values):
-            return False
-        if not self.values:
-            return True
-        shift = other.values[0] - self.values[0]
-        return all(b == a + shift for a, b in zip(self.values, other.values))
 
     def pairwise_distinct(self) -> bool:
         return len(set(self.values)) == len(self.values)
@@ -174,12 +162,6 @@ class FixedPointData:
             self.__dict__["_common_denominator"] = memo
         return memo
 
-    def point(self, label: str) -> FixedPointDatum:
-        for p in self.points:
-            if p.label == label:
-                return p
-        raise KeyError(label)
-
     def with_bundle(self, bundle: BundleWeights | None) -> FixedPointData:
         return FixedPointData(self.n, self.points, bundle)
 
@@ -262,10 +244,22 @@ def to_document(data: FixedPointData) -> dict[str, Any]:
     return document
 
 
+def to_json(document: Any) -> str:
+    """The one JSON writer: two-space indentation, newline-terminated, exact
+    rationals as fraction strings.
+
+    Raises :class:`ValidationError` when an integer is too long to write.
+    """
+    try:
+        return json.dumps(document, indent=2, default=str) + "\n"
+    except ValueError as exc:  # an integer past the str conversion limit
+        raise ValidationError(f"result cannot be written exactly: {exc}") from exc
+
+
 def serialize(data: FixedPointData) -> str:
     """Canonical serialization: fixed key order, weights ascending,
     two-space indentation, newline-terminated."""
-    return json.dumps(to_document(data), indent=2) + "\n"
+    return to_json(to_document(data))
 
 
 def dump(data: FixedPointData, path) -> None:

@@ -1,13 +1,13 @@
 """Certification of rigidity hypotheses and conclusions.
 
-This module decides, from fixed-point data alone, whether the hypotheses of
-Hattori's rigidity theorem hold (an affine relation between weight sums and
-line-bundle weights, pairwise distinct bundle weights, nonvanishing top
-power) and whether the advertised conclusion holds (every weight multiset
-has the pairwise-difference form of the standard projective model, with top
-bundle power exactly 1).  It also houses the Vandermonde grouping argument
-for distinctness of weight sums and the quadratic solver for the admissible
-first Chern numbers.
+:func:`hattori_verdict` decides, from fixed-point data alone, whether the
+hypotheses of Hattori's rigidity theorem hold (an affine relation between
+weight sums and line-bundle weights, and quasi-ampleness: pairwise distinct
+bundle weights with a nonvanishing top power) and whether the advertised
+conclusion holds (every weight multiset has the pairwise-difference form of
+the standard projective model, with top bundle power exactly 1).  The module
+also houses the Vandermonde grouping argument for distinctness of weight
+sums and the quadratic solver for the admissible first Chern numbers.
 """
 
 from __future__ import annotations
@@ -52,19 +52,19 @@ class ConditionCCertificate:
 class DistinctnessReport:
     """Outcome of grouping points by equal weight sum.
 
-    ``group_mu`` holds the reciprocal-product sum of each group; when the
-    number of groups is at most n and the residue constraints hold, the
-    Vandermonde system over the distinct weight sums forces every one of
-    them to vanish, and ``forced_mu`` is the solved (zero) vector.  A group
-    with a single member then cannot occur, since its mu would be a lone
-    nonzero reciprocal.
+    ``group_mu`` holds the reciprocal-product sum of each group.  When the
+    number of groups is at most n and the residue constraints hold,
+    ``vandermonde_applies`` is set: the constraints give sum_s s^r mu_s = 0
+    for every r below the number of groups, a homogeneous system whose
+    Vandermonde matrix over the distinct weight sums is invertible, so every
+    mu vanishes.  A group with a single member then cannot occur, since its
+    mu would be a lone nonzero reciprocal.
     """
 
     verdict: str
     groups: tuple[tuple[str, ...], ...]
     group_sums: tuple[int, ...]
     group_mu: tuple[Fraction, ...]
-    forced_mu: tuple[Fraction, ...] | None
     vandermonde_applies: bool
     top_power: Fraction
 
@@ -86,8 +86,10 @@ class RigidityVerdict:
     ``passes`` is true only when the bundle weights are quasi-ample, the
     affine relation holds with multiplier n+1, the top bundle power is
     exactly 1, and every point's weights are the pairwise differences of
-    the normalized bundle weights.  All stages are evaluated even after the
-    first failure so the verdict localizes everything that went wrong.
+    the normalized bundle weights.  ``quasi_ample`` holds when the
+    normalized weights are pairwise distinct and ``bundle_power`` is
+    nonzero.  All stages are evaluated even after the first failure so the
+    verdict localizes everything that went wrong.
     """
 
     passes: bool
@@ -172,17 +174,6 @@ def derive_bundle_weights(data: FixedPointData) -> BundleWeights:
     return BundleWeights(tuple(values))
 
 
-def check_quasi_ample(data: FixedPointData, bundle: BundleWeights) -> bool:
-    """True iff the bundle weights are pairwise distinct and the top power
-    is nonzero, under the caller's normalization."""
-    if len(bundle) != data.point_count:
-        raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count "
-            f"{data.point_count}"
-        )
-    return bundle.pairwise_distinct() and localization.line_bundle_power(data, bundle) != 0
-
-
 def distinctness_analysis(
     data: FixedPointData, *, require_residue_constraints: bool = True
 ) -> DistinctnessReport:
@@ -214,18 +205,12 @@ def distinctness_analysis(
         )
     )
     verdict = "distinct" if len(groups) == data.point_count else "grouped"
-    applies = constraints_ok and len(groups) <= data.n
-    # the system sum_s s^r mu_s = 0 (r < number of groups) is homogeneous and
-    # its Vandermonde matrix over the distinct sums is invertible, so the
-    # only solution is zero
-    forced = (Fraction(0),) * len(sums) if applies else None
     return DistinctnessReport(
         verdict=verdict,
         groups=groups,
         group_sums=sums,
         group_mu=mu,
-        forced_mu=forced,
-        vandermonde_applies=applies,
+        vandermonde_applies=constraints_ok and len(groups) <= data.n,
         top_power=localization.c1_power(data),
     )
 
@@ -284,14 +269,9 @@ def hattori_verdict(
         bundle = data.bundle
     if bundle is None:
         bundle = derive_bundle_weights(data)
-    elif len(bundle) != data.point_count:
-        raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count "
-            f"{data.point_count}"
-        )
     normalized = bundle.normalized()
+    # raises ValidationError when the bundle length differs from the point count
     bundle_power = localization.line_bundle_power(data, normalized)
-    # check_quasi_ample's test, on the power evaluated once
     quasi_ample = normalized.pairwise_distinct() and bundle_power != 0
     try:
         certificate = check_condition_c(data, normalized, scale)

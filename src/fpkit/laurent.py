@@ -2,15 +2,13 @@
 
 Used both for genus polynomials in ``y`` and for virtual circle
 representations in ``t`` (finite sums of powers ``t^k``, k any integer).
-All arithmetic is exact; evaluation at an integer or ``Fraction`` point is
-exact as well.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
 Coefficients = Mapping[int, int] | Iterable[tuple[int, int]]
 
@@ -45,18 +43,6 @@ class LaurentPoly:
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> LaurentPoly:
-        return cls({exponent: coefficient})
-
-    @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> LaurentPoly:
         """Sum of monomials ``t^k``, one per listed exponent (with multiplicity).
 
@@ -68,12 +54,6 @@ class LaurentPoly:
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def coefficient(self, exponent: int) -> int:
-        for k, c in self.terms:
-            if k == exponent:
-                return c
-        return 0
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -83,28 +63,9 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return self.terms[-1][0]
 
-    def valuation(self) -> int:
-        """Smallest exponent; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no valuation")
-        return self.terms[0][0]
-
     def is_polynomial(self) -> bool:
         """True when no negative exponents occur."""
         return not self.terms or self.terms[0][0] >= 0
-
-    def mirror(self, pivot: int) -> LaurentPoly:
-        """Substitute the variable by its inverse and multiply by ``var^pivot``.
-
-        Sends the exponent ``k`` to ``pivot - k``.
-
-        >>> LaurentPoly({0: 1, 1: -1, 2: 1}).mirror(2)
-        LaurentPoly('1 - y + y^2')
-        """
-        return LaurentPoly((pivot - k, c) for k, c in self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
@@ -141,22 +102,10 @@ class LaurentPoly:
     def __pow__(self, exponent: int) -> LaurentPoly:
         if exponent < 0:
             raise ValueError("negative powers are not defined for LaurentPoly")
-        result = LaurentPoly.one()
+        result = LaurentPoly({0: 1})
         for _ in range(exponent):
             result = result * self
         return result
-
-    def __call__(self, value):
-        """Evaluate exactly at an integer or Fraction point.
-
-        >>> LaurentPoly({0: 1, 1: -1, 2: 1})(-1)
-        3
-        >>> LaurentPoly({-2: 1})(2)
-        Fraction(1, 4)
-        """
-        if isinstance(value, int) and self.terms and self.terms[0][0] < 0:
-            value = Fraction(value)
-        return sum(c * value**k for k, c in self.terms)
 
     def fmt(self, var: str = "y") -> str:
         """Human-readable rendering in ascending exponent order.

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, prod
 
-from .core import BundleWeights, FixedPointData
+from .core import BundleWeights, FixedPointData, ValidationError
 from .laurent import LaurentPoly
 
 
@@ -40,23 +40,6 @@ class ChernMonomial:
     @property
     def degree(self) -> int:
         return sum(self.indices)
-
-
-@dataclasses.dataclass(frozen=True)
-class KCoefficients:
-    """Coefficients of the genus polynomial re-expanded in powers of (y+1).
-
-    The constant coefficient equals the Euler characteristic when the input
-    polynomial came from fixed-point data.
-    """
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, index: int) -> int:
-        return self.values[index]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fraction]:
@@ -135,7 +118,7 @@ def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
     shift-invariant downstream conclusions are geometrically meaningful.
     """
     if len(bundle) != data.point_count:
-        raise ValueError(
+        raise ValidationError(
             f"bundle weight count {len(bundle)} does not match point count "
             f"{data.point_count}"
         )
@@ -176,8 +159,12 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
     return LaurentPoly(enumerate(coefficients))
 
 
-def k_coefficients(chi: LaurentPoly, n: int) -> KCoefficients:
-    """Re-expand a genus polynomial of degree <= n in powers of (y+1)."""
+def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
+    """Re-expand a genus polynomial of degree <= n in powers of (y+1).
+
+    The constant coefficient equals the Euler characteristic when the input
+    polynomial came from fixed-point data.
+    """
     if not chi.is_zero():
         if not chi.is_polynomial():
             raise ValueError("genus input must be a polynomial (no negative powers)")
@@ -187,7 +174,7 @@ def k_coefficients(chi: LaurentPoly, n: int) -> KCoefficients:
     for i, c in chi.terms:
         for j in range(i + 1):
             values[j] += c * comb(i, j) * (-1) ** (i - j)
-    return KCoefficients(tuple(values))
+    return tuple(values)
 
 
 def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:

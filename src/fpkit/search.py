@@ -164,11 +164,12 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     first point's pool index, in pool order.  Raises SearchSpaceError when
     the raw space exceeds the spec's leaf budget.
     """
-    leaves = leaf_count(spec)
-    if leaves > spec.max_leaves:
+    # the raw leaves number at least 2^n (the pool has at least n+1 entries and
+    # C(2n+1, n+1) >= 2^n) and at least 2B, so a huge n or B needs no count
+    budget = spec.max_leaves
+    if spec.n >= budget.bit_length() or 2 * spec.bound > budget or leaf_count(spec) > budget:
         raise SearchSpaceError(
-            f"search space has {leaves} raw leaves, above the limit "
-            f"{spec.max_leaves}; raise max_leaves to proceed"
+            f"search space has more than {budget} raw leaves; raise max_leaves to proceed"
         )
     pool = _weight_pool(spec)
     m = spec.point_count

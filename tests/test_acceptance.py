@@ -19,7 +19,6 @@ from fpkit.core import (
 )
 from fpkit.hattori import (
     check_condition_c,
-    check_quasi_ample,
     derive_bundle_weights,
     distinctness_analysis,
     first_chern_candidates,
@@ -84,10 +83,10 @@ def test_criterion_04_quasi_ampleness():
         for _ in range(TUPLES_PER_DIMENSION):
             data = linear_pn(random_distinct(rng, n + 1))
             assert line_bundle_power(data, data.bundle) == 1
-            assert check_quasi_ample(data, data.bundle)
+            assert hattori_verdict(data, data.bundle).quasi_ample
             inverted = BundleWeights(tuple(-a for a in data.bundle.values))
             assert line_bundle_power(data, inverted) == (-1) ** n
-            assert check_quasi_ample(data, inverted)
+            assert hattori_verdict(data, inverted).quasi_ample
 
 
 def test_criterion_05_condition_c():
@@ -203,5 +202,4 @@ def test_criterion_11_distinctness():
     report = distinctness_analysis(grouped)
     assert report.verdict == "grouped"
     assert report.group_mu == (Fraction(0),)
-    assert report.forced_mu == (Fraction(0),)
     assert report.vandermonde_applies

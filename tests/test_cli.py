@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,6 +294,30 @@ def test_search_respects_leaf_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--n", "1", "--bound", "2")
     assert code == 2
     assert "FPKIT_MAX_LEAVES" in err
+
+
+@pytest.mark.parametrize(
+    "n, bound",
+    [("7200", "1"), ("2", "1" + "0" * 800), ("1000000", "1")],
+    ids=["n-7200", "bound-801-digits", "n-1000000"],
+)
+def test_search_past_the_leaf_budget_exits_quickly(capsys, monkeypatch, n, bound):
+    monkeypatch.delenv("FPKIT_MAX_LEAVES", raising=False)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", n, "--bound", bound)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "raise max_leaves" in err
+
+
+@pytest.mark.parametrize("k0", ["1e3000000", "1.5", "3/0", "x"])
+def test_search_k0_accepts_only_integers_and_fractions(capsys, k0):
+    code, out, err = run(
+        capsys, "search", "--n", "2", "--bound", "2", "--require-condition-c", "--k0", k0
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: k0 must be an integer or fraction")
 
 
 def test_survivor_stream_reads_back_through_validate_and_report(capsys, tmp_path):

@@ -175,8 +175,6 @@ def test_bundle_weight_operations():
     bundle = BundleWeights((0, 1, 3))
     assert bundle.shifted(5).values == (5, 6, 8)
     assert BundleWeights((5, 6, 8)).normalized().values == (0, 1, 3)
-    assert bundle.equivalent(bundle.shifted(-7))
-    assert not bundle.equivalent(BundleWeights((0, 1, 4)))
     assert bundle.pairwise_distinct()
     assert not BundleWeights((0, 0, 1)).pairwise_distinct()
 
@@ -184,13 +182,6 @@ def test_bundle_weight_operations():
 def test_tangent_character_counts_weights():
     datum = FixedPointDatum("P1", (-3, -1, -1))
     assert datum.tangent_character().fmt("t") == "t^-3 + 2t^-1"
-
-
-def test_point_lookup_by_label():
-    data = linear_pn((0, 1, 3))
-    assert data.point("P2").weights == (-2, 1)
-    with pytest.raises(KeyError):
-        data.point("P9")
 
 
 @given(fixed_point_data())

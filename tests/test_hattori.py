@@ -15,7 +15,6 @@ from fpkit.hattori import (
     BundleDerivationError,
     ConditionCError,
     check_condition_c,
-    check_quasi_ample,
     derive_bundle_weights,
     distinctness_analysis,
     first_chern_candidates,
@@ -104,18 +103,26 @@ def test_derive_bundle_weights_requires_matching_point_count():
 
 def test_quasi_ample_examples():
     data = linear_pn((0, 1, 3))
-    assert check_quasi_ample(data, data.bundle)
-    assert not check_quasi_ample(data, BundleWeights((0, 0, 1)))
+    assert hattori_verdict(data, data.bundle).quasi_ample
+    assert not hattori_verdict(data, BundleWeights((0, 0, 1))).quasi_ample
     inverted = BundleWeights(tuple(-a for a in data.bundle.values))
-    assert check_quasi_ample(data, inverted)
+    assert hattori_verdict(data, inverted).quasi_ample
 
 
 def test_quasi_ample_rejects_zero_top_power():
-    # distinct bundle weights whose top power vanishes: 1/1 + (-1)/1 = 0
+    # distinct bundle weights, already normalized, whose top power vanishes:
+    # 0/2 + 1/1 + 1/(-1) = 0
     data = FixedPointData(
-        1, (FixedPointDatum("A", (1,)), FixedPointDatum("B", (1,)))
+        2,
+        (
+            FixedPointDatum("P1", (1, 2)),
+            FixedPointDatum("P2", (1, 1)),
+            FixedPointDatum("P3", (-1, 1)),
+        ),
     )
-    assert not check_quasi_ample(data, BundleWeights((1, -1)))
+    verdict = hattori_verdict(data, BundleWeights((0, 1, -1)))
+    assert verdict.bundle_power == 0
+    assert not verdict.quasi_ample
 
 
 def test_distinctness_on_reference_model():
@@ -132,7 +139,6 @@ def test_distinctness_on_grouped_exhibit():
     assert report.verdict == "grouped"
     assert report.groups == (("P1", "P2", "P3"),)
     assert report.group_mu == (Fraction(0),)
-    assert report.forced_mu == (Fraction(0),)
     assert report.vandermonde_applies
     assert report.top_power == 0
 
@@ -152,7 +158,6 @@ def test_distinctness_two_group_exhibit():
     assert report.verdict == "grouped"
     assert report.group_sums == (-3, 3)
     assert report.group_mu == (Fraction(0), Fraction(0))
-    assert report.forced_mu == (Fraction(0), Fraction(0))
     assert report.vandermonde_applies
 
 
@@ -245,6 +250,11 @@ def test_hattori_verdict_requires_point_count():
         hattori_verdict(
             FixedPointData(2, (FixedPointDatum("P1", (1, 2)),))
         )
+
+
+def test_hattori_verdict_checks_bundle_length():
+    with pytest.raises(ValidationError, match="bundle weight count 2"):
+        hattori_verdict(linear_pn((0, 1, 3)), BundleWeights((0, 1)))
 
 
 def test_hattori_verdict_propagates_derivation_failure():

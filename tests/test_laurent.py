@@ -13,6 +13,11 @@ polys = st.dictionaries(
 ).map(LaurentPoly)
 
 
+def evaluate(poly, point):
+    # exact at negative exponents too
+    return sum(c * Fraction(point) ** k for k, c in poly.terms)
+
+
 def test_construction_strips_zero_coefficients():
     poly = LaurentPoly({0: 1, 1: 0, 2: 3})
     assert poly.terms == ((0, 1), (2, 3))
@@ -20,14 +25,7 @@ def test_construction_strips_zero_coefficients():
 
 def test_construction_merges_duplicate_exponents():
     poly = LaurentPoly([(1, 2), (1, 3)])
-    assert poly.coefficient(1) == 5
-
-
-def test_zero_one_monomial():
-    assert LaurentPoly.zero().is_zero()
-    assert LaurentPoly.one().terms == ((0, 1),)
-    assert LaurentPoly.monomial(-2, 7).terms == ((-2, 7),)
-    assert LaurentPoly.monomial(3).terms == ((3, 1),)
+    assert poly.coefficients().get(1, 0) == 5
 
 
 def test_from_exponents_counts_multiplicity():
@@ -42,46 +40,27 @@ def test_arithmetic_small_cases():
     assert (p + q).terms == ((0, 2),)
     assert (p - p).is_zero()
     assert (p**2).terms == ((0, 1), (1, -2), (2, 1))
-    assert (3 * p).coefficient(1) == -3
-    assert (p + 1).coefficient(0) == 2
+    assert (3 * p).coefficients().get(1, 0) == -3
+    assert (p + 1).coefficients().get(0, 0) == 2
 
 
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        LaurentPoly.one() ** -1
+        LaurentPoly({0: 1}) ** -1
 
 
 def test_degree_and_valuation():
     poly = LaurentPoly({-2: 5, 3: 1})
-    assert poly.valuation() == -2
+    assert poly.terms[0] == (-2, 5)
     assert poly.degree() == 3
     assert not poly.is_polynomial()
     with pytest.raises(ValueError):
-        LaurentPoly.zero().degree()
-
-
-def test_evaluation_is_exact():
-    poly = LaurentPoly({-1: 1, 2: 3})
-    assert poly(2) == Fraction(1, 2) + 12
-    assert poly(Fraction(1, 3)) == 3 + Fraction(1, 3)
-    assert LaurentPoly({0: 4, 1: -1})(7) == -3
-
-
-def test_evaluation_rejects_zero_with_negative_exponents():
-    with pytest.raises(ZeroDivisionError):
-        LaurentPoly({-1: 1})(0)
-
-
-def test_mirror_reverses_exponents_around_pivot():
-    poly = LaurentPoly({0: 1, 1: -1, 2: 1})
-    assert poly.mirror(2) == poly
-    skew = LaurentPoly({0: 1, 1: 2})
-    assert skew.mirror(1).terms == ((0, 2), (1, 1))
+        LaurentPoly().degree()
 
 
 def test_fmt_matches_expected_text():
     assert LaurentPoly({0: 1, 1: -1, 2: 1}).fmt() == "1 - y + y^2"
-    assert LaurentPoly.zero().fmt() == "0"
+    assert LaurentPoly().fmt() == "0"
     assert LaurentPoly({-1: 2}).fmt("t") == "2t^-1"
     assert LaurentPoly({1: 1}).fmt() == "y"
 
@@ -93,12 +72,12 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + LaurentPoly.zero() == a
-    assert a * LaurentPoly.one() == a
-    assert a - a == LaurentPoly.zero()
+    assert a + LaurentPoly() == a
+    assert a * LaurentPoly({0: 1}) == a
+    assert a - a == LaurentPoly()
 
 
 @given(polys, polys, st.integers(min_value=-5, max_value=5).filter(lambda v: v != 0))
 def test_evaluation_is_a_ring_morphism(a, b, point):
-    assert (a + b)(point) == a(point) + b(point)
-    assert (a * b)(point) == a(point) * b(point)
+    assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
+    assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)

@@ -116,8 +116,9 @@ def test_pair_normal_weights_complete_the_ambient_sums(values):
     hypersurface = linear_pn(values[:-1])
     report = pair_restriction_check(ambient, hypersurface)
     assert report.passes
+    by_label = {p.label: p for p in ambient.points}
     for row, point in zip(report.points, hypersurface.points):
-        ambient_sum = ambient.point(row.image).weight_sum
+        ambient_sum = by_label[row.image].weight_sum
         assert point.weight_sum + row.normal_weight == ambient_sum
 
 

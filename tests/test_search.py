@@ -46,9 +46,16 @@ def test_leaf_count_matches_hand_computation():
 
 
 def test_size_guard_trips():
-    spec = SearchSpec(n=2, bound=4, max_leaves=100)
-    with pytest.raises(SearchSpaceError, match="raise max_leaves"):
-        list(enumerate_survivors(spec))
+    # the last three are refused without counting: 2^n and 2B both bound the
+    # raw leaves from below
+    for spec in (
+        SearchSpec(n=2, bound=4, max_leaves=100),
+        SearchSpec(n=10**6, bound=1),
+        SearchSpec(n=2, bound=10**800),
+        SearchSpec(n=20, bound=1, max_leaves=10**6),
+    ):
+        with pytest.raises(SearchSpaceError, match="raise max_leaves"):
+            list(enumerate_survivors(spec))
 
 
 def test_n1_survivors_are_mirror_pairs():
