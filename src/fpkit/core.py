@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Iterable, Iterator, Mapping
-from math import lcm
+from math import lcm, prod
 from typing import Any
 
 from .laurent import LaurentPoly
@@ -77,10 +77,16 @@ class FixedPointDatum:
     weights: tuple[int, ...]
 
     def __init__(self, label: str, weights: Iterable[int]):
+        if not isinstance(label, str):
+            raise ValidationError(f"point label must be a string, got {label!r}")
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "weights", tuple(sorted(weights)))
-        if not isinstance(self.label, str):
-            raise ValidationError(f"point label must be a string, got {self.label!r}")
+        weights = tuple(weights)
+        try:
+            object.__setattr__(self, "weights", tuple(sorted(weights)))
+        except TypeError:  # a string, null or list next to a number
+            for w in weights:
+                _check_int(w, f'weight of point "{label}"')
+            raise
         for position, w in enumerate(self.weights):
             _check_int(w, f'weight of point "{self.label}"')
             if w == 0:
@@ -95,10 +101,7 @@ class FixedPointDatum:
 
     @property
     def weight_product(self) -> int:
-        product = 1
-        for w in self.weights:
-            product *= w
-        return product
+        return prod(self.weights)
 
     @property
     def negative_count(self) -> int:

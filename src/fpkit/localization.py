@@ -2,12 +2,13 @@
 
 Every quantity here is a finite sum over fixed points of symmetric
 functions of the weights divided by the weight product, evaluated in exact
-rational arithmetic, and every one goes through :func:`localize`, which
-puts the points over the lcm of their weight products.  That lcm and its
-cofactors are computed once per data object, not once per sum.  The genus
-polynomial of the standard projective model is additionally computed a
-second, independent way, as an integer residue sum from its characteristic
-power series, so the two routes can be checked against each other.
+rational arithmetic over the lcm of the weight products.  That lcm and its
+cofactors are computed once per data object, not once per sum, and so is
+the running-product table behind :func:`residue_sum`; every other sum goes
+through :func:`localize`.  The genus polynomial of the standard projective
+model is additionally computed a second, independent way, as an integer
+residue sum from its characteristic power series, so the two routes can be
+checked against each other.
 """
 
 from __future__ import annotations
@@ -58,23 +59,39 @@ def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fra
     ]
 
 
+def _residue_numerators(data: FixedPointData, top: int) -> list[int]:
+    # entry r is sum_i c_i s_i^r (cofactors c_i, weight sums s_i) for r up to
+    # max(n, top), kept with the same plain memo as the common denominator
+    table = data.__dict__.get("_residue_numerators")
+    if table is None or len(table) <= top:
+        terms = data.common_denominator[1]
+        sums = [p.weight_sum for p in data.points]
+        table = [sum(terms)]
+        for _ in range(max(data.n, top)):
+            terms = list(map(operator.mul, terms, sums))
+            table.append(sum(terms))
+        data.__dict__["_residue_numerators"] = table
+    return table
+
+
 def residue_sum(data: FixedPointData, power: int) -> Fraction:
     """The exact sum over points of (weight sum)^power / (weight product).
 
     Vanishes for all ``power < n`` on data coming from an actual action; at
     ``power = n`` it is the top self-intersection number of the first Chern
-    class.
+    class.  All powers up to max(n, power) come from one running product
+    kept on the data object, at about the cost of one :func:`localize`
+    call; a higher power rebuilds it up to that power.
     """
     if power < 0:
         raise ValueError(f"power must be nonnegative, got {power}")
-    return localize(data, [[p.weight_sum**power for p in data.points]])[0]
+    numerator = _residue_numerators(data, power)[power]
+    return Fraction(numerator, data.common_denominator[0])
 
 
 def residue_constraints_hold(data: FixedPointData) -> bool:
     """True when residue_sum(data, r) vanishes for every r in 0..n-1."""
-    sums = [p.weight_sum for p in data.points]
-    columns = ([s**r for s in sums] for r in range(data.n))
-    return all(value == 0 for value in localize(data, columns))
+    return not any(_residue_numerators(data, data.n)[: data.n])
 
 
 def c1_power(data: FixedPointData) -> Fraction:

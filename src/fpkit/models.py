@@ -8,12 +8,7 @@ import dataclasses
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
-from .core import (
-    BundleWeights,
-    FixedPointData,
-    FixedPointDatum,
-    ValidationError,
-)
+from .core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
 
 
 def linear_pn(values: Sequence[int]) -> FixedPointData:

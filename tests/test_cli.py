@@ -352,6 +352,18 @@ def test_empty_stream_is_invalid_input(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("weights", [[1, "a"], [1, None], [1, [2]]])
+def test_non_integer_weights_are_invalid_input(capsys, tmp_path, weights):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"n": 2, "fixed_points": [{"label": "P", "weights": weights}]})
+    )
+    for command in ("validate", "report"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith('error: weight of point "P" must be an integer, got ')
+
+
 def test_oversized_integers_are_invalid_input(capsys, tmp_path):
     # a weight past Python's integer string conversion limit
     path = tmp_path / "huge-weight.json"

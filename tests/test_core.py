@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,30 @@ def test_datum_sorts_weights_and_derives_invariants():
 def test_datum_rejects_zero_weight():
     with pytest.raises(ValidationError, match=r'point "P1" \(position 0\)'):
         FixedPointDatum("P1", (0, 3))
+
+
+@pytest.mark.parametrize(
+    "weights, shown",
+    [([1, "a"], "'a'"), ([1, None], "None"), ([1, [2]], "[2]"), ([2, 1.5, "x"], "1.5")],
+)
+def test_unorderable_weights_name_the_first_non_integer(weights, shown):
+    # sorting raises TypeError on these; the first non-integer in input
+    # order is reported instead
+    message = re.escape(f'weight of point "P" must be an integer, got {shown}') + "$"
+    with pytest.raises(ValidationError, match=message):
+        FixedPointDatum("P", weights)
+    with pytest.raises(ValidationError, match=message):
+        validate({"n": 2, "fixed_points": [{"label": "P", "weights": weights}]})
+
+
+def test_orderable_bad_weights_keep_their_message():
+    # these sort without error, so the first non-integer in sorted order is named
+    with pytest.raises(ValidationError, match=r"got 1\.5$"):
+        FixedPointDatum("P", [2, 1.5])
+    with pytest.raises(ValidationError, match="got True$"):
+        FixedPointDatum("P", [1, True])
+    with pytest.raises(ValidationError, match="point label must be a string, got 7$"):
+        FixedPointDatum(7, [1, "a"])
 
 
 def test_smallest_linear_document_is_valid():

@@ -268,6 +268,25 @@ def test_kernel_matches_plain_fraction_sums(data, draw):
     )
 
 
+@given(unrealizable_data(), st.data())
+def test_residue_sums_in_any_order_match_plain_sums(data, draw):
+    # the first power is above n, so the table is built past n at once; the
+    # other powers are read from it or, after n + 1, rebuild it up to n + 2
+    n = data.n
+    first = draw.draw(st.sampled_from([n + 1, n + 2]))
+    rest = draw.draw(st.permutations([r for r in range(n + 3) if r != first]))
+    plain = [
+        plain_sum(data, [p.weight_sum**r for p in data.points]) for r in range(n + 3)
+    ]
+    holds = all(value == 0 for value in plain[:n])
+    fresh = FixedPointData(n, data.points)
+    assert residue_constraints_hold(fresh) == holds
+    for r in [first, *rest]:
+        assert residue_sum(data, r) == plain[r], r
+        assert residue_sum(fresh, r) == plain[r], r
+    assert residue_constraints_hold(data) == holds
+
+
 def test_residue_sums_of_a_large_model_are_fast():
     data = linear_pn(range(201))
     started = time.perf_counter()
@@ -278,21 +297,30 @@ def test_residue_sums_of_a_large_model_are_fast():
     assert sums[200] == 201**200
 
 
-def count_weight_products(monkeypatch):
+def count_reads(monkeypatch, name):
     reads = [0]
-    original = FixedPointDatum.weight_product.fget
+    original = getattr(FixedPointDatum, name).fget
 
     def counted(point):
         reads[0] += 1
         return original(point)
 
-    monkeypatch.setattr(FixedPointDatum, "weight_product", property(counted))
+    monkeypatch.setattr(FixedPointDatum, name, property(counted))
     return reads
+
+
+def test_report_reads_each_weight_sum_once(monkeypatch):
+    data = linear_pn(range(90))
+    reads = count_reads(monkeypatch, "weight_sum")
+    report = cli._report(data)
+    assert report["c1_power"] == 90**89
+    # one running-product table for all 90 residue powers, not one column each
+    assert reads[0] == data.point_count
 
 
 def test_report_computes_the_common_denominator_once(monkeypatch):
     data = linear_pn(range(90))
-    reads = count_weight_products(monkeypatch)
+    reads = count_reads(monkeypatch, "weight_product")
     report = cli._report(data)
     assert report["residue_sums"] == [0] * 89 + [90**89]
     # one lcm over the 90 weight products, not one per residue power
@@ -301,7 +329,7 @@ def test_report_computes_the_common_denominator_once(monkeypatch):
 
 def test_distinctness_analysis_shares_the_common_denominator(monkeypatch):
     data = linear_pn((0, 1, 3, 7, 12))
-    reads = count_weight_products(monkeypatch)
+    reads = count_reads(monkeypatch, "weight_product")
     report = distinctness_analysis(data)
     assert report.top_power == 5**4
     assert reads[0] == data.point_count
@@ -309,7 +337,7 @@ def test_distinctness_analysis_shares_the_common_denominator(monkeypatch):
 
 def test_each_data_object_computes_its_own_denominator(monkeypatch):
     data = linear_pn((0, 1, 3, 7))
-    reads = count_weight_products(monkeypatch)
+    reads = count_reads(monkeypatch, "weight_product")
     first = data.common_denominator
     assert data.common_denominator is first
     assert reads[0] == 4
@@ -322,6 +350,12 @@ def test_each_data_object_computes_its_own_denominator(monkeypatch):
         value = other.common_denominator
         assert value == first and value is not first
         assert reads[0] == 4 * count
+    # the same holds for the table of residue numerators
+    sums = count_reads(monkeypatch, "weight_sum")
+    for count, other in enumerate((data, *others), start=1):
+        assert residue_sum(other, 3) == 4**3
+        assert residue_constraints_hold(other)
+        assert sums[0] == 4 * count
     assert first == (
         math.lcm(*(p.weight_product for p in data.points)),
         tuple(first[0] // p.weight_product for p in data.points),
