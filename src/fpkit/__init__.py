@@ -42,7 +42,6 @@ from .hattori import (
 )
 from .laurent import LaurentPoly
 from .localization import (
-    ChernMonomial,
     c1cn1_from_k2,
     c1_power,
     chern_monomial,
@@ -96,7 +95,6 @@ __all__ = [
     "first_chern_candidates",
     "hattori_verdict",
     "LaurentPoly",
-    "ChernMonomial",
     "c1cn1_from_k2",
     "c1_power",
     "chern_monomial",

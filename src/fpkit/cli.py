@@ -61,10 +61,10 @@ def _fail(message: str) -> int:
     return EXIT_INVALID
 
 
-def _poly_payload(poly: LaurentPoly, variable: str = "y") -> dict:
+def _poly_payload(poly: LaurentPoly) -> dict:
     return {
         "coefficients": {str(k): c for k, c in poly.terms},
-        "text": poly.fmt(variable),
+        "text": poly.fmt("y"),
     }
 
 
@@ -89,7 +89,7 @@ def _load_stream(path: str) -> list[FixedPointData]:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
         return
     try:
@@ -169,27 +169,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _verdict_payload(verdict: RigidityVerdict) -> dict:
-    """The verdict fields of `hattori`, in output order; a search
-    counterexample reports the same fields except ``condition_c``."""
+    """The `hattori` document without its schema version.
+
+    Every output dataclass is a plain frozen dataclass, whose vars() holds
+    exactly its fields in declaration order, so each document's keys and
+    their order are the field declarations.  Overriding a key in a dict
+    literal keeps its first position.
+    """
     certificate = verdict.condition_c
     return {
-        "normalized_bundle": list(verdict.normalized_a),
-        "quasi_ample": verdict.quasi_ample,
-        "bundle_power": verdict.bundle_power,
-        "condition_c": (
-            {"k0": certificate.k0, "offset": certificate.offset}
-            if certificate is not None
-            else None
-        ),
-        "condition_c_violation": verdict.condition_c_violation,
-        "mismatches": [
-            {
-                "label": mismatch.label,
-                "expected": list(mismatch.expected),
-                "actual": list(mismatch.actual),
-            }
-            for mismatch in verdict.mismatches
-        ],
+        **vars(verdict),
+        "condition_c": certificate and vars(certificate),
+        "mismatches": [vars(mismatch) for mismatch in verdict.mismatches],
     }
 
 
@@ -206,13 +197,7 @@ def cmd_hattori(args: argparse.Namespace) -> int:
             }
         )
         return EXIT_FAIL
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "passes": verdict.passes,
-            **_verdict_payload(verdict),
-        }
-    )
+    _emit({"schema_version": SCHEMA_VERSION, **_verdict_payload(verdict)})
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
 
@@ -236,23 +221,13 @@ def cmd_pair(args: argparse.Namespace) -> int:
     hypersurface = _load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
     report = pair_restriction_check(ambient, hypersurface, embedding)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "passes": report.passes,
-        "omitted_label": report.omitted_label,
-        "points": [
-            {
-                "label": row.label,
-                "image": row.image,
-                "embeds": row.embeds,
-                "missing": list(row.missing),
-                "normal_weight": row.normal_weight,
-                "expected_normal": row.expected_normal,
-            }
-            for row in report.points
-        ],
-    }
-    _emit(document)
+    _emit(
+        {
+            "schema_version": SCHEMA_VERSION,
+            **vars(report),
+            "points": [vars(row) for row in report.points],
+        }
+    )
     return EXIT_OK if report.passes else EXIT_FAIL
 
 
@@ -262,7 +237,7 @@ def _weights_payload(data: FixedPointData) -> list[list[int]]:
 
 def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> dict:
     payload = {"weights": _weights_payload(data), **_verdict_payload(verdict)}
-    del payload["condition_c"]
+    del payload["passes"], payload["condition_c"]
     return payload
 
 
@@ -272,6 +247,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_leaves = 10**8 if override is None else int(override)
     except ValueError:
         raise ValidationError(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
+    if args.k0 is not None and not args.require_condition_c:
+        raise ValidationError("--k0 only applies together with --require-condition-c")
     k0 = _parse_k0(args.k0) if args.k0 is not None else None
     spec = SearchSpec(
         n=args.n,
@@ -314,14 +291,7 @@ def cmd_c1candidates(args: argparse.Namespace) -> int:
     document = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
-        "candidates": [
-            {
-                "value": candidate.value,
-                "admissible": candidate.admissible,
-                "reason": candidate.reason,
-            }
-            for candidate in first_chern_candidates(args.n)
-        ],
+        "candidates": [vars(c) for c in first_chern_candidates(args.n)],
     }
     _emit(document)
     return EXIT_OK

@@ -223,7 +223,7 @@ def loads(text: str) -> FixedPointData:
     """Validate a JSON interchange document given as a string."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # also an integer past the str conversion limit
+    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
         raise ValidationError(f"malformed JSON document: {exc}") from exc
     return validate(raw)
 
@@ -286,7 +286,7 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
             return
         try:
             document, position = decoder.raw_decode(text, position)
-        except ValueError as exc:  # also an integer past the str conversion limit
+        except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
             raise ValidationError(f"malformed JSON document: {exc}") from exc
         yield document
 

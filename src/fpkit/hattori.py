@@ -45,7 +45,6 @@ class ConditionCCertificate:
 
     k0: int
     offset: int
-    bundle: BundleWeights
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,16 +88,17 @@ class RigidityVerdict:
     the normalized bundle weights.  ``quasi_ample`` holds when the
     normalized weights are pairwise distinct and ``bundle_power`` is
     nonzero.  All stages are evaluated even after the first failure so the
-    verdict localizes everything that went wrong.
+    verdict localizes everything that went wrong.  The fields, in order, are
+    those of the ``fpkit hattori`` document.
     """
 
     passes: bool
-    normalized_a: tuple[int, ...]
-    mismatches: tuple[PointMismatch, ...]
+    normalized_bundle: tuple[int, ...]
     quasi_ample: bool
     bundle_power: Fraction
     condition_c: ConditionCCertificate | None
     condition_c_violation: str | None
+    mismatches: tuple[PointMismatch, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +142,7 @@ def check_condition_c(
                 index=index,
                 label=point.label,
             )
-    return ConditionCCertificate(k0, offset, bundle)
+    return ConditionCCertificate(k0, offset)
 
 
 def derive_bundle_weights(data: FixedPointData) -> BundleWeights:
@@ -295,10 +295,10 @@ def hattori_verdict(
     )
     return RigidityVerdict(
         passes=passes,
-        normalized_a=values,
-        mismatches=tuple(mismatches),
+        normalized_bundle=values,
         quasi_ample=quasi_ample,
         bundle_power=bundle_power,
         condition_c=certificate,
         condition_c_violation=violation,
+        mismatches=tuple(mismatches),
     )

@@ -13,7 +13,6 @@ checked against each other.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -21,26 +20,6 @@ from math import comb, prod
 
 from .core import BundleWeights, FixedPointData, ValidationError
 from .laurent import LaurentPoly
-
-
-@dataclasses.dataclass(frozen=True)
-class ChernMonomial:
-    """A degree-n Chern-class monomial c_{i_1} ... c_{i_k}, as a multiset of
-    indices summing to n (stored sorted descending)."""
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices: Iterable[int]):
-        object.__setattr__(self, "indices", tuple(sorted(indices, reverse=True)))
-        for i in self.indices:
-            if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-                raise ValueError(f"Chern indices must be positive integers, got {i!r}")
-        if not self.indices:
-            raise ValueError("a Chern monomial needs at least one index")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.indices)
 
 
 def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fraction]:
@@ -108,23 +87,25 @@ def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
     return sigma
 
 
-def chern_monomial(data: FixedPointData, monomial: ChernMonomial | Iterable[int]) -> Fraction:
-    """Evaluate a degree-n Chern monomial by summation over fixed points.
+def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
+    """Evaluate the Chern monomial c_{i_1} ... c_{i_k} by summation over
+    fixed points; its indices must sum to n.
 
     Each Chern class c_j contributes the j-th elementary symmetric
     polynomial of the point's weights; the product over the monomial's
     indices is divided by the weight product and summed exactly.  The data
     is taken at face value; no realizability check is attempted.
     """
-    if not isinstance(monomial, ChernMonomial):
-        monomial = ChernMonomial(monomial)
-    if monomial.degree != data.n:
-        raise ValueError(
-            f"monomial degree {monomial.degree} does not match n = {data.n}"
-        )
-    top = monomial.indices[0]  # the largest index: indices are sorted descending
-    sigmas = [_elementary_symmetric(p.weights, top) for p in data.points]
-    return localize(data, [[prod(s[i] for i in monomial.indices) for s in sigmas]])[0]
+    indices = tuple(indices)
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise ValueError(f"Chern indices must be positive integers, got {i!r}")
+    if not indices:
+        raise ValueError("a Chern monomial needs at least one index")
+    if sum(indices) != data.n:
+        raise ValueError(f"monomial degree {sum(indices)} does not match n = {data.n}")
+    sigmas = [_elementary_symmetric(p.weights, max(indices)) for p in data.points]
+    return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
 
 def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:

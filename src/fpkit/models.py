@@ -78,11 +78,12 @@ class PointRestriction:
 
 @dataclasses.dataclass(frozen=True)
 class PairRestrictionReport:
-    """Per-point restriction verdicts plus the omitted ambient point."""
+    """Per-point restriction verdicts plus the omitted ambient point; the
+    fields, in order, are those of the ``fpkit pair`` document."""
 
     passes: bool
-    points: tuple[PointRestriction, ...]
     omitted_label: str | None
+    points: tuple[PointRestriction, ...]
 
 
 def pair_restriction_check(
@@ -160,4 +161,4 @@ def pair_restriction_check(
             )
         )
     passes = all(row.normal_matches for row in rows)
-    return PairRestrictionReport(passes, tuple(rows), omitted_label)
+    return PairRestrictionReport(passes, omitted_label, tuple(rows))

@@ -220,7 +220,7 @@ def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
             continue
         # the hypotheses in order of precedence: a derivable bundle, pairwise
         # distinct bundle weights, a nonvanishing and integral top power
-        if len(set(verdict.normalized_a)) != len(verdict.normalized_a):
+        if len(set(verdict.normalized_bundle)) != len(verdict.normalized_bundle):
             failures.append((data, "derived bundle weights are not pairwise distinct"))
         elif verdict.bundle_power == 0:
             failures.append((data, "top power of the derived bundle vanishes"))

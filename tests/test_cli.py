@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import subprocess
@@ -7,8 +8,18 @@ import time
 import pytest
 
 from fpkit.cli import build_parser, main
-from fpkit.core import dump, iter_documents, serialize, validate
-from fpkit.models import linear_pn
+from fpkit.core import (
+    BundleWeights,
+    FixedPointData,
+    FixedPointDatum,
+    dump,
+    iter_documents,
+    serialize,
+    validate,
+)
+from fpkit.hattori import first_chern_candidates, hattori_verdict
+from fpkit.models import linear_pn, pair_restriction_check
+from fpkit.search import RigidityExperiment, SearchSpec
 
 
 @pytest.fixture
@@ -480,3 +491,141 @@ def test_usage_errors_leave_later_calls_unchanged(capsys, model_file):
 def test_version_is_written_on_every_call(capsys):
     for _ in range(2):
         assert run(capsys, "--version") == (0, "fpkit 0.1.0\n", "")
+
+
+# the stdout of `search` with one counterexample; no golden case reaches it
+COUNTEREXAMPLE_STDOUT = """\
+{
+  "schema_version": "1",
+  "n": 2,
+  "bound": 3,
+  "require_projective_profile": false,
+  "require_condition_c": false,
+  "k0": null,
+  "survivor_count": 1,
+  "match_count": 0,
+  "counterexample_count": 1,
+  "hypothesis_failure_count": 0,
+  "matches": [],
+  "counterexamples": [
+    {
+      "weights": [
+        [
+          -3,
+          -1
+        ],
+        [
+          -2,
+          1
+        ],
+        [
+          2,
+          3
+        ]
+      ],
+      "normalized_bundle": [
+        0,
+        2,
+        3
+      ],
+      "quasi_ample": true,
+      "bundle_power": "-1/2",
+      "condition_c_violation": "point P2 breaks the affine relation: weight sum -1 != 3 * 2 + -4",
+      "mismatches": [
+        {
+          "label": "P1",
+          "expected": [
+            -3,
+            -2
+          ],
+          "actual": [
+            -3,
+            -1
+          ]
+        },
+        {
+          "label": "P2",
+          "expected": [
+            -1,
+            2
+          ],
+          "actual": [
+            -2,
+            1
+          ]
+        },
+        {
+          "label": "P3",
+          "expected": [
+            1,
+            3
+          ],
+          "actual": [
+            2,
+            3
+          ]
+        }
+      ]
+    }
+  ],
+  "hypothesis_failures": []
+}
+"""
+
+
+def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
+    data = linear_pn((0, 1, 3)).with_bundle(BundleWeights((0, 2, 3)))
+    experiment = RigidityExperiment(
+        spec=SearchSpec(n=2, bound=3),
+        survivors=(data,),
+        matches=(),
+        counterexamples=((data, hattori_verdict(data)),),
+        hypothesis_failures=(),
+    )
+    monkeypatch.setattr("fpkit.cli.rigidity_experiment", lambda spec: experiment)
+    code, out, err = run(capsys, "search", "--n", "2", "--bound", "3")
+    assert (code, err) == (1, "")
+    assert out == COUNTEREXAMPLE_STDOUT
+
+
+def test_output_dataclasses_hold_their_fields_in_declaration_order():
+    # the CLI writes vars() of these as documents, so vars() must list
+    # exactly the dataclass fields, in order
+    data = linear_pn((0, 1, 3))
+    verdict = hattori_verdict(data.with_bundle(BundleWeights((0, 2, 3))))
+    assert verdict.mismatches
+    # P1's weights keep their sum, so the affine relation still holds
+    skewed = FixedPointData(2, (FixedPointDatum("P1", (-5, 1)), *data.points[1:]))
+    with_certificate = hattori_verdict(skewed, data.bundle)
+    assert with_certificate.condition_c is not None and with_certificate.mismatches
+    report = pair_restriction_check(data, linear_pn((0, 1)))
+    assert report.points
+    objects = [verdict, with_certificate, with_certificate.condition_c,
+               *with_certificate.mismatches, report, *report.points,
+               *first_chern_candidates(3)]
+    for obj in objects:
+        assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)], obj
+
+
+@pytest.mark.parametrize("command", ["validate", "hattori"])
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON document:")
+
+
+def test_search_k0_needs_the_condition_c_filter(capsys):
+    code, out, err = run(capsys, "search", "--n", "2", "--bound", "2", "--k0", "3/2")
+    assert (code, out) == (2, "")
+    assert "--k0" in err and "--require-condition-c" in err
+
+
+def test_search_output_dash_is_a_file_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "search", "--n", "1", "--bound", "1", "--output", "-")
+    assert code == 0
+    assert json.loads(out)["matches"] == [[[-1], [1]]]
+    stream = (tmp_path / "-").read_text()
+    assert [d.points[0].weights for d in map(validate, iter_documents(stream))] == [(-1,)]

@@ -198,7 +198,7 @@ def test_hattori_verdict_passes_on_linear_models():
         verdict = hattori_verdict(linear_pn(values))
         assert verdict.passes
         assert verdict.bundle_power == 1
-        assert verdict.normalized_a == tuple(a - values[0] for a in values)
+        assert verdict.normalized_bundle == tuple(a - values[0] for a in values)
         assert verdict.condition_c is not None
         assert verdict.mismatches == ()
 
@@ -242,7 +242,7 @@ def test_hattori_verdict_prefers_explicit_then_attached_bundle():
     wrong = BundleWeights((0, 2, 1))
     verdict = hattori_verdict(data, bundle=wrong)
     assert not verdict.passes
-    assert verdict.normalized_a == (0, 2, 1)
+    assert verdict.normalized_bundle == (0, 2, 1)
 
 
 def test_hattori_verdict_requires_point_count():

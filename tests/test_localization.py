@@ -14,7 +14,6 @@ from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum
 from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
 from fpkit.localization import (
-    ChernMonomial,
     c1cn1_from_k2,
     c1_power,
     chern_monomial,
@@ -82,7 +81,7 @@ def test_c1_power_on_random_models_is_dimension_power():
 def test_chern_monomial_reference_values():
     data = linear_pn((0, 1, 3))
     assert chern_monomial(data, (2,)) == 3
-    assert chern_monomial(data, ChernMonomial((1, 1))) == 9
+    assert chern_monomial(data, (1, 1)) == 9
     assert chern_monomial(linear_pn((0, 1)), (1,)) == c1_power(linear_pn((0, 1)))
 
 
@@ -100,10 +99,10 @@ def test_chern_monomial_on_a_large_projective_model():
 def test_chern_monomial_rejects_wrong_degree():
     with pytest.raises(ValueError, match="degree"):
         chern_monomial(linear_pn((0, 1, 3)), (1,))
-    with pytest.raises(ValueError):
-        ChernMonomial(())
-    with pytest.raises(ValueError):
-        ChernMonomial((0, 2))
+    with pytest.raises(ValueError, match="at least one index"):
+        chern_monomial(linear_pn((0, 1, 3)), ())
+    with pytest.raises(ValueError, match="positive integers"):
+        chern_monomial(linear_pn((0, 1, 3)), (0, 2))
 
 
 def test_line_bundle_power_examples():
