@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Iterable, Iterator, Mapping
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from math import lcm, prod
 from typing import Any
 
@@ -247,14 +249,35 @@ def to_document(data: FixedPointData) -> dict[str, Any]:
     return document
 
 
+def _write(value: Any, newline: str) -> str:
+    """``json.dumps(value, indent=2, default=str)`` at the level ``newline``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str or kind is Fraction:  # a Fraction as its string, like "3/2"
+        return _string(str(value))
+    if kind is list or kind is tuple:
+        inner = newline + "  "
+        items = [_write(item, inner) for item in value]
+        return "[" + inner + f",{inner}".join(items) + newline + "]" if items else "[]"
+    if kind is dict:
+        inner = newline + "  "
+        items = [_string(k) + ": " + _write(v, inner) for k, v in value.items()]
+        return "{" + inner + f",{inner}".join(items) + newline + "}" if items else "{}"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def to_json(document: Any) -> str:
     """The one JSON writer: two-space indentation, newline-terminated, exact
-    rationals as fraction strings.
-
-    Raises :class:`ValidationError` when an integer is too long to write.
-    """
+    rationals as fraction strings, from dicts with str keys, lists, tuples,
+    str, int, bool, None and Fraction; other types raise TypeError.  Raises
+    :class:`ValidationError` when an integer is too long to write."""
     try:
-        return json.dumps(document, indent=2, default=str) + "\n"
+        return _write(document, "\n") + "\n"
     except ValueError as exc:  # an integer past the str conversion limit
         raise ValidationError(f"result cannot be written exactly: {exc}") from exc
 

@@ -119,13 +119,14 @@ def pair_restriction_check(
                 "embedding must assign an image to every hypersurface point"
             )
     images = list(mapping.values())
-    if len(set(images)) != len(images):
+    targets = set(images)
+    if len(targets) != len(images):
         raise ValidationError("embedding must be injective")
     for image in images:
         if image not in ambient_points:
             raise ValidationError(f"embedding targets unknown ambient point {image!r}")
 
-    omitted = [label for label in ambient.labels if label not in set(images)]
+    omitted = [label for label in ambient.labels if label not in targets]
     expected_by_image: dict[str, int] | None = None
     omitted_label = omitted[0] if len(omitted) == 1 else None
     if ambient.bundle is not None and omitted_label is not None:

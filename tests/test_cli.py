@@ -398,6 +398,55 @@ def test_oversized_integers_are_invalid_input(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["report", "hattori"])
+def test_result_past_the_str_limit_is_invalid_input(capsys, tmp_path, command):
+    # valid weights whose exact report and verdict values need ~8000 digits
+    big = 10**4000
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "fixed_points": [
+                    {"label": "A", "weights": [big, 2]},
+                    {"label": "B", "weights": [-big - 1, 1]},
+                    {"label": "C", "weights": [-1, -1]},
+                ],
+                "bundle_weights": [0, big, 1],
+            }
+        )
+    )
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: result cannot be written exactly: ")
+
+
+def test_validate_writes_labels_as_escaped_ascii(capsys, tmp_path):
+    path = tmp_path / "labels.json"
+    path.write_text(
+        json.dumps(
+            {
+                "n": 1,
+                "fixed_points": [
+                    {"label": "Pé\"\\\t</x>", "weights": [1]},
+                    {"label": "𝔸", "weights": [-1]},
+                ],
+            },
+            ensure_ascii=False,
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n  "n": 1,\n  "fixed_points": [\n'
+        '    {\n      "label": "P\\u00e9\\"\\\\\\t</x>",\n'
+        '      "weights": [\n        1\n      ]\n    },\n'
+        '    {\n      "label": "\\ud835\\udd38",\n'
+        '      "weights": [\n        -1\n      ]\n    }\n  ]\n}\n'
+    )
+
+
 def test_c1candidates_table(capsys):
     code, out, _ = run(capsys, "c1candidates", "--n", "3")
     assert code == 0

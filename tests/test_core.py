@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from fpkit.core import (
     projective_profile,
     serialize,
     to_document,
+    to_json,
     validate,
 )
 from fpkit.models import linear_pn
@@ -220,3 +222,51 @@ def test_round_trip_is_idempotent(data):
 def test_betti_numbers_sum_to_point_count(data):
     assert sum(betti_numbers(data)) == data.point_count
     assert len(betti_numbers(data)) == data.n + 1
+
+
+# str keys and values: non-ASCII, lone surrogates, quotes, backslashes, control characters
+json_text = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\t\né\u2028\ud835\U0001d538') | st.characters()
+)
+json_ints = st.integers() | st.integers(min_value=-(10**4300) + 1, max_value=10**4300 - 1)
+json_leaves = (
+    json_text
+    | json_ints
+    | st.booleans()
+    | st.none()
+    | st.fractions()
+    | st.builds(Fraction, json_ints, st.integers(min_value=1))
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_text, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_documents)
+def test_to_json_is_the_stdlib_indented_layout(document):
+    assert to_json(document) == json.dumps(document, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**4300, 10**4999, Fraction(10**4999, 3)],
+    ids=["4301-digit int", "5000-digit int", "5000-digit fraction"],
+)
+def test_to_json_refuses_values_past_the_str_limit(value):
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps({"value": [value]}, indent=2, default=str)
+    with pytest.raises(ValidationError) as ours:
+        to_json({"value": [value]})
+    assert str(ours.value) == f"result cannot be written exactly: {stdlib.value}"
+
+
+@pytest.mark.parametrize("leaf", [0.5, {1, 2}])
+def test_to_json_refuses_unsupported_leaves(leaf):
+    with pytest.raises(TypeError):
+        to_json({"value": [leaf]})
