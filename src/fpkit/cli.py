@@ -193,7 +193,7 @@ def cmd_hattori(args: argparse.Namespace) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "passes": False,
-                "error": f"bundle derivation failed: {exc}",
+                "error": str(exc),
             }
         )
         return EXIT_FAIL
@@ -249,13 +249,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise ValidationError(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
     if args.k0 is not None and not args.require_condition_c:
         raise ValidationError("--k0 only applies together with --require-condition-c")
-    k0 = _parse_k0(args.k0) if args.k0 is not None else None
+    k0 = Fraction(args.n + 1) if args.k0 is None else _parse_k0(args.k0)
     spec = SearchSpec(
         n=args.n,
         bound=args.bound,
         require_projective_profile=args.require_profile,
-        require_condition_c=args.require_condition_c,
-        k0=k0,
+        k0=k0 if args.require_condition_c else None,
         max_leaves=max_leaves,
     )
     experiment = rigidity_experiment(spec)
@@ -267,8 +266,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "n": spec.n,
         "bound": spec.bound,
         "require_projective_profile": spec.require_projective_profile,
-        "require_condition_c": spec.require_condition_c,
-        "k0": Fraction(spec.effective_k0) if spec.require_condition_c else None,
+        "require_condition_c": spec.k0 is not None,
+        "k0": spec.k0,
         "survivor_count": experiment.survivor_count,
         "match_count": len(experiment.matches),
         "counterexample_count": len(experiment.counterexamples),

@@ -19,24 +19,23 @@ from . import localization
 from .core import BundleWeights, FixedPointData, ValidationError
 
 
-class ConditionCError(ValueError):
+class _PointError(ValueError):
+    """A failure located at one point, carrying its index and label."""
+
+    def __init__(self, message: str, index: int, label: str):
+        super().__init__(message)
+        self.index = index
+        self.label = label
+
+
+class ConditionCError(_PointError):
     """No integer offset makes weight_sum = k0 * bundle_weight + offset hold
     at every point.  Carries the first violating point."""
 
-    def __init__(self, message: str, index: int, label: str):
-        super().__init__(message)
-        self.index = index
-        self.label = label
 
-
-class BundleDerivationError(ValueError):
+class BundleDerivationError(_PointError):
     """Bundle weights cannot be recovered from the weight sums because some
     pairwise difference is not divisible by the point count."""
-
-    def __init__(self, message: str, index: int, label: str):
-        super().__init__(message)
-        self.index = index
-        self.label = label
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,14 +81,14 @@ class PointMismatch:
 class RigidityVerdict:
     """Full outcome of the rigidity pipeline.
 
-    ``passes`` is true only when the bundle weights are quasi-ample, the
-    affine relation holds with multiplier n+1, the top bundle power is
-    exactly 1, and every point's weights are the pairwise differences of
-    the normalized bundle weights.  ``quasi_ample`` holds when the
-    normalized weights are pairwise distinct and ``bundle_power`` is
-    nonzero.  All stages are evaluated even after the first failure so the
-    verdict localizes everything that went wrong.  The fields, in order, are
-    those of the ``fpkit hattori`` document.
+    ``passes`` is true exactly when every point's weights are the pairwise
+    differences of the normalized bundle weights, which implies that the
+    bundle weights are quasi-ample, the affine relation holds with
+    multiplier n+1 and the top bundle power is exactly 1.  ``quasi_ample``
+    holds when the normalized weights are pairwise distinct and
+    ``bundle_power`` is nonzero.  All stages are evaluated even after the
+    first failure so the verdict localizes everything that went wrong.  The
+    fields, in order, are those of the ``fpkit hattori`` document.
     """
 
     passes: bool
@@ -165,7 +164,8 @@ def derive_bundle_weights(data: FixedPointData) -> BundleWeights:
         quotient, remainder = divmod(point.weight_sum - base, scale)
         if remainder:
             raise BundleDerivationError(
-                f"weight-sum difference {point.weight_sum - base} at point "
+                f"bundle derivation failed: weight-sum difference "
+                f"{point.weight_sum - base} at point "
                 f"{point.label} is not divisible by {scale}",
                 index=index,
                 label=point.label,
@@ -287,12 +287,10 @@ def hattori_verdict(
         )
         if expected != point.weights:
             mismatches.append(PointMismatch(point.label, expected, point.weights))
-    passes = (
-        quasi_ample
-        and bundle_power == 1
-        and certificate is not None
-        and not mismatches
-    )
+    # no mismatch means the data is linear_pn(values): its nonzero weights make
+    # the a_i distinct, its top power is sum_i a_i^n / prod_{j != i} (a_i - a_j)
+    # = 1, and its weight sums (n+1) a_i - sum(a) meet the relation for k0 = n+1
+    passes = not mismatches
     return RigidityVerdict(
         passes=passes,
         normalized_bundle=values,

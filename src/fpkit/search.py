@@ -43,17 +43,16 @@ class SearchSpaceError(RuntimeError):
 class SearchSpec:
     """Parameters of one bounded sweep.
 
-    ``k0`` is the affine-relation multiplier used when
-    ``require_condition_c`` is set; it defaults to n+1 and may be a
-    noninteger rational, in which case no candidate can satisfy the
-    relation and the sweep is vacuously empty.  ``max_leaves`` bounds the
-    raw number of point-multiset combinations before pruning.
+    ``k0``, when set, keeps only survivors whose weight sums satisfy the
+    affine relation weight_sum_i = k0 * a_i + offset for some integers a_i;
+    ``None`` means no such filter.  A rational k0 = p/q in lowest terms keeps
+    exactly what k0 = p keeps.  ``max_leaves`` bounds the raw number of
+    point-multiset combinations before pruning.
     """
 
     n: int
     bound: int
     require_projective_profile: bool = False
-    require_condition_c: bool = False
     k0: int | Fraction | None = None
     max_leaves: int = 10**8
 
@@ -80,10 +79,6 @@ class SearchSpec:
     def point_count(self) -> int:
         return self.n + 1
 
-    @property
-    def effective_k0(self) -> int | Fraction:
-        return self.n + 1 if self.k0 is None else self.k0
-
 
 @dataclasses.dataclass(frozen=True)
 class RigidityExperiment:
@@ -97,7 +92,6 @@ class RigidityExperiment:
     survivor with the reason it falls outside the theorem's scope.
     """
 
-    spec: SearchSpec
     survivors: tuple[FixedPointData, ...]
     matches: tuple[FixedPointData, ...]
     counterexamples: tuple[tuple[FixedPointData, RigidityVerdict], ...]
@@ -128,11 +122,8 @@ def leaf_count(spec: SearchSpec) -> int:
 
 def _satisfies_relation(sums: list[int], k0: int | Fraction) -> bool:
     # an integer solution of sum_i = k0 * a_i + offset exists iff all
-    # pairwise sum differences are integer multiples of k0
-    if isinstance(k0, Fraction):
-        if k0.denominator != 1:
-            return False
-        k0 = int(k0)
+    # pairwise sum differences are integer multiples of k0; % is exact on
+    # Fractions too
     if k0 == 0:
         return len(set(sums)) == 1
     return all((s - sums[0]) % k0 == 0 for s in sums)
@@ -143,9 +134,9 @@ def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
         return False
     if spec.require_projective_profile and not projective_profile(data):
         return False
-    if spec.require_condition_c:
+    if spec.k0 is not None:
         sums = [p.weight_sum for p in data.points]
-        if not _satisfies_relation(sums, spec.effective_k0):
+        if not _satisfies_relation(sums, spec.k0):
             return False
     return True
 
@@ -216,14 +207,17 @@ def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
         try:
             verdict = hattori_verdict(data)
         except BundleDerivationError as exc:
-            failures.append((data, f"bundle derivation failed: {exc}"))
+            failures.append((data, str(exc)))
             continue
         # the hypotheses in order of precedence: a derivable bundle, pairwise
-        # distinct bundle weights, a nonvanishing and integral top power
-        if len(set(verdict.normalized_bundle)) != len(verdict.normalized_bundle):
+        # distinct bundle weights, a nonvanishing and integral top power.  A
+        # survivor's derived weights a_i give weight sums s_i = (n+1) a_i + c,
+        # which are distinct when the a_i are; a zero top power sum a_i^n / e_i
+        # would then join the residue constraints r < n in an invertible
+        # Vandermonde system in the nonzero 1/e_i, so quasi_ample fails here
+        # only on repeated weights
+        if not verdict.quasi_ample:
             failures.append((data, "derived bundle weights are not pairwise distinct"))
-        elif verdict.bundle_power == 0:
-            failures.append((data, "top power of the derived bundle vanishes"))
         elif verdict.bundle_power.denominator != 1:
             failures.append((data, "top power of the derived bundle is not an integer"))
         elif verdict.passes:
@@ -231,7 +225,6 @@ def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
         else:
             counterexamples.append((data, verdict))
     return RigidityExperiment(
-        spec=spec,
         survivors=tuple(survivors),
         matches=tuple(matches),
         counterexamples=tuple(counterexamples),

@@ -19,7 +19,7 @@ from fpkit.core import (
 )
 from fpkit.hattori import first_chern_candidates, hattori_verdict
 from fpkit.models import linear_pn, pair_restriction_check
-from fpkit.search import RigidityExperiment, SearchSpec
+from fpkit.search import RigidityExperiment
 
 
 @pytest.fixture
@@ -281,19 +281,18 @@ def test_search_condition_c_flags(capsys):
     assert document["k0"] == "2"
     assert document["survivor_count"] == 3
 
-    code, out, _ = run(
-        capsys,
-        "search",
-        "--n",
-        "2",
-        "--bound",
-        "2",
-        "--require-condition-c",
-        "--k0",
-        "3/2",
-    )
-    assert code == 0
-    assert json.loads(out)["survivor_count"] == 0
+    # k0 = p/q keeps what k0 = p keeps
+    kept = {}
+    for k0 in ("3/2", "3"):
+        code, out, _ = run(
+            capsys, "search", "--n", "2", "--bound", "2", "--require-condition-c",
+            "--k0", k0,
+        )
+        assert code == 0
+        document = json.loads(out)
+        kept[k0] = document["survivor_count"], document["matches"]
+    assert kept["3/2"][0] == 1
+    assert kept["3/2"] == kept["3"]
 
 
 def test_search_respects_leaf_budget_env(capsys, monkeypatch):
@@ -625,7 +624,6 @@ COUNTEREXAMPLE_STDOUT = """\
 def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
     data = linear_pn((0, 1, 3)).with_bundle(BundleWeights((0, 2, 3)))
     experiment = RigidityExperiment(
-        spec=SearchSpec(n=2, bound=3),
         survivors=(data,),
         matches=(),
         counterexamples=((data, hattori_verdict(data)),),
@@ -663,6 +661,95 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed JSON document:")
+
+
+POINT_A = {"label": "A", "weights": [1]}
+
+
+@pytest.mark.parametrize(
+    "argv,document,message",
+    [
+        (["validate", "doc.json"], [], "document must be a JSON object, got list"),
+        (
+            ["validate", "doc.json"],
+            {"n": 2, "fixed_points": []},
+            '"fixed_points" must be a non-empty list',
+        ),
+        (
+            ["validate", "doc.json"],
+            {"n": 1, "fixed_points": [1]},
+            "fixed point at index 0 must be an object",
+        ),
+        (
+            ["validate", "doc.json"],
+            {"n": 1, "fixed_points": [{**POINT_A, "x": 0}]},
+            "fixed point at index 0 has unknown keys: ['x']",
+        ),
+        (
+            ["validate", "doc.json"],
+            {"n": 1, "fixed_points": [{"label": "A"}]},
+            'fixed point at index 0 needs both "label" and "weights"',
+        ),
+        (
+            ["validate", "doc.json"],
+            {"n": 1, "fixed_points": [{"label": "A", "weights": 1}]},
+            '"weights" of fixed point at index 0 must be a list',
+        ),
+        (
+            ["validate", "doc.json"],
+            {
+                "n": 1,
+                "fixed_points": [POINT_A, {"label": "B", "weights": [-1]}],
+                "bundle_weights": 0,
+            },
+            '"bundle_weights" must be a list of integers',
+        ),
+        (
+            ["validate", "doc.json"],
+            {"n": 0, "fixed_points": [{"label": "A", "weights": []}]},
+            "dimension n must be >= 1, got 0",
+        ),
+        (
+            ["model", "--weights", "0,1,3", "--output", "missing/out.json"],
+            None,
+            "cannot write missing/out.json: [Errno 2] No such file or directory: "
+            "'missing/out.json'",
+        ),
+        (
+            ["model", "--weights", "0,x"],
+            None,
+            "weights must be comma-separated integers, got '0,x'",
+        ),
+        (
+            ["c1candidates", "--n", "0"],
+            None,
+            "dimension must be a positive integer, got 0",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", "A"],
+            None,
+            "embedding entries must look like LABEL=LABEL, got 'A'",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", "A=P1,A=P2"],
+            None,
+            "embedding maps 'A' twice",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", ","],
+            None,
+            "embedding is empty",
+        ),
+    ],
+)
+def test_invalid_input_exits_2_with_its_message(
+    capsys, tmp_path, monkeypatch, argv, document, message
+):
+    monkeypatch.chdir(tmp_path)
+    dump(linear_pn((0, 1, 3)), tmp_path / "model.json")
+    dump(linear_pn((0, 1)), tmp_path / "line.json")
+    (tmp_path / "doc.json").write_text(json.dumps(document))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_search_k0_needs_the_condition_c_filter(capsys):

@@ -21,6 +21,7 @@ from fpkit.hattori import (
     hattori_verdict,
 )
 from fpkit.models import linear_pn
+from fpkit.search import SearchSpec, enumerate_survivors
 
 
 def grouped_exhibit():
@@ -275,3 +276,75 @@ def test_verdict_invariant_under_bundle_shift(n, shift, rng):
     data = linear_pn(values)
     shifted = hattori_verdict(data, bundle=data.bundle.shifted(shift))
     assert shifted == hattori_verdict(data)
+
+
+@st.composite
+def verdict_inputs(draw):
+    # n+1-point data: a linear model, one with a single weight changed, or
+    # random weights; with an explicit, an attached or a derived bundle
+    n = draw(st.integers(min_value=1, max_value=4))
+    values = draw(
+        st.lists(
+            st.integers(min_value=-6, max_value=6),
+            min_size=n + 1,
+            max_size=n + 1,
+            unique=True,
+        )
+    )
+    data = linear_pn(tuple(values))
+    weight = st.integers(min_value=-6, max_value=6).filter(bool)
+    kind = draw(st.sampled_from(["linear", "perturbed", "random"]))
+    points = list(data.points)
+    if kind == "perturbed":
+        index = draw(st.integers(min_value=0, max_value=n))
+        weights = list(points[index].weights)
+        weights[draw(st.integers(min_value=0, max_value=n - 1))] = draw(weight)
+        points[index] = FixedPointDatum(points[index].label, weights)
+    elif kind == "random":
+        points = [
+            FixedPointDatum(p.label, draw(st.lists(weight, min_size=n, max_size=n)))
+            for p in points
+        ]
+    source = draw(st.sampled_from(["explicit", "attached", "derived"]))
+    data = FixedPointData(n, tuple(points), None if source == "derived" else data.bundle)
+    if source != "explicit":
+        return data, None
+    if draw(st.booleans()):
+        shift = draw(st.integers(min_value=-5, max_value=5))
+        return data, BundleWeights(tuple(a + shift for a in values))
+    explicit = draw(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n + 1, max_size=n + 1)
+    )
+    return data, BundleWeights(tuple(explicit))
+
+
+@given(verdict_inputs())
+def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(inputs):
+    data, bundle = inputs
+    try:
+        verdict = hattori_verdict(data, bundle)
+    except BundleDerivationError:
+        return
+    reference = (
+        verdict.quasi_ample
+        and verdict.bundle_power == 1
+        and verdict.condition_c is not None
+        and not verdict.mismatches
+    )
+    assert verdict.passes == reference
+
+
+def test_survivors_with_distinct_derived_weights_have_nonzero_top_power():
+    # the residue constraints r < n and a zero top power would form an
+    # invertible Vandermonde system in the 1/e_i over the distinct weight sums
+    distinct = 0
+    for n, bound in ((1, 6), (2, 8), (2, 10), (3, 4), (4, 2)):
+        for data in enumerate_survivors(SearchSpec(n=n, bound=bound)):
+            try:
+                verdict = hattori_verdict(data)
+            except BundleDerivationError:
+                continue
+            if len(set(verdict.normalized_bundle)) == data.point_count:
+                distinct += 1
+                assert verdict.bundle_power != 0, data
+    assert distinct > 0

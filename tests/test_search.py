@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpkit.cli import main
 from fpkit.core import ValidationError, iter_documents, serialize, validate
 from fpkit.localization import residue_constraints_hold
 from fpkit.models import linear_pn
@@ -34,8 +36,6 @@ def test_spec_validation():
         SearchSpec(n=1, bound=3, k0=-1)
     with pytest.raises(ValidationError):
         SearchSpec(n=1, bound=3, max_leaves=0)
-    assert SearchSpec(n=2, bound=3).effective_k0 == 3
-    assert SearchSpec(n=2, bound=3, k0=2).effective_k0 == 2
 
 
 def test_leaf_count_matches_hand_computation():
@@ -109,18 +109,22 @@ def test_profile_filter_keeps_the_reference_model():
 def test_condition_c_filter_with_default_multiplier():
     # n=1 mirror pairs have weight sums -w, w; difference 2w is always
     # divisible by n+1 = 2, so the filter keeps everything
-    spec = SearchSpec(n=1, bound=3, require_condition_c=True)
+    spec = SearchSpec(n=1, bound=3, k0=2)
     assert len(list(enumerate_survivors(spec))) == 3
 
 
 def test_condition_c_filter_with_zero_multiplier():
-    spec = SearchSpec(n=1, bound=3, require_condition_c=True, k0=0)
+    spec = SearchSpec(n=1, bound=3, k0=0)
     assert list(enumerate_survivors(spec)) == []
 
 
-def test_fractional_multiplier_is_vacuous():
-    spec = SearchSpec(n=2, bound=3, require_condition_c=True, k0=Fraction(3, 2))
-    assert list(enumerate_survivors(spec)) == []
+@pytest.mark.parametrize("bound", [3, 4])
+def test_fractional_multiplier_keeps_what_its_numerator_keeps(bound):
+    # s_i = (p/q) a_i + offset with integer a_i holds iff p divides every
+    # difference s_i - s_0, as q is prime to p
+    half = list(enumerate_survivors(SearchSpec(n=2, bound=bound, k0=Fraction(3, 2))))
+    assert half
+    assert half == list(enumerate_survivors(SearchSpec(n=2, bound=bound, k0=3)))
 
 
 def test_rigidity_experiment_small_sweep():
@@ -140,11 +144,39 @@ def test_rigidity_experiment_partitions_survivors():
     assert experiment.counterexamples == ()
     recognized = (
         "derived bundle weights are not pairwise distinct",
-        "top power of the derived bundle vanishes",
+        "top power of the derived bundle is not an integer",
         "bundle derivation failed",
     )
     for _, reason in experiment.hypothesis_failures:
         assert reason.startswith(recognized)
+
+
+def test_survivor_meeting_every_hypothesis_but_failing_is_a_counterexample(
+    monkeypatch, capsys
+):
+    import fpkit.search
+
+    original = fpkit.search.hattori_verdict
+
+    def failing(data):
+        # raises BundleDerivationError where the real verdict does
+        verdict = original(data)
+        return dataclasses.replace(
+            verdict, passes=False, quasi_ample=True, bundle_power=Fraction(1)
+        )
+
+    monkeypatch.setattr(fpkit.search, "hattori_verdict", failing)
+    experiment = rigidity_experiment(SearchSpec(n=2, bound=3))
+    derivable = [
+        data
+        for data in experiment.survivors
+        if not any(data is failed for failed, _ in experiment.hypothesis_failures)
+    ]
+    assert derivable
+    assert [data for data, _ in experiment.counterexamples] == derivable
+    assert experiment.matches == ()
+    assert main(["search", "--n", "2", "--bound", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample_count"] == len(derivable)
 
 
 @settings(max_examples=10, deadline=None)
@@ -181,22 +213,19 @@ def test_rigidity_experiment_evaluates_one_bundle_power_per_verdict(monkeypatch)
 FILTERS = [
     {},
     {"require_projective_profile": True},
-    {"require_condition_c": True},
-    {"require_condition_c": True, "k0": 0},
-    {"require_condition_c": True, "k0": 2},
-    {"require_condition_c": True, "k0": Fraction(3, 2)},
+    {"k0": 0},
+    {"k0": 2},
+    {"k0": Fraction(3, 2)},
 ]
 
 
-def reference_survivors(n, bound, require_projective_profile=False,
-                        require_condition_c=False, k0=None):
+def reference_survivors(n, bound, require_projective_profile=False, k0=None):
     # every (n+1)-multiset of the sorted pool, plain Fraction residue sums
     values = [w for w in range(-bound, bound + 1) if w != 0]
     pool = sorted(
         (sum(combo), math.prod(combo), combo)
         for combo in itertools.combinations_with_replacement(values, n)
     )
-    k0 = n + 1 if k0 is None else Fraction(k0)
     out = []
     for candidate in itertools.combinations_with_replacement(pool, n + 1):
         if any(
@@ -208,13 +237,13 @@ def reference_survivors(n, bound, require_projective_profile=False,
             sum(w < 0 for w in combo) for combo in weights
         ) != list(range(n + 1)):
             continue
-        if require_condition_c:
+        if k0 is not None:
             sums = [s for s, _, _ in candidate]
-            if k0.denominator != 1:
-                continue
             if k0 == 0 and len(set(sums)) != 1:
                 continue
-            if k0 != 0 and any((s - sums[0]) % k0 for s in sums):
+            if k0 != 0 and any(
+                (Fraction(s - sums[0]) / k0).denominator != 1 for s in sums
+            ):
                 continue
         out.append(weights)
     return out
@@ -225,7 +254,8 @@ def reference_survivors(n, bound, require_projective_profile=False,
     [(1, b) for b in range(1, 5)] + [(2, b) for b in range(1, 5)] + [(3, 1), (3, 2)],
 )
 def test_enumeration_matches_reference_brute_force(n, bound):
-    for options in FILTERS:
+    # k0 = n+1 is the multiplier of the projective model
+    for options in FILTERS + [{"k0": n + 1}]:
         survivors = enumerate_survivors(SearchSpec(n=n, bound=bound, **options))
         assert [
             [tuple(p.weights) for p in data.points] for data in survivors
