@@ -3,19 +3,25 @@
 Candidate data has n+1 points whose weight multisets are drawn (with
 repetition) from all size-n multisets over [-B, B] without 0.  Survivors
 are the candidates passing the residue constraints, plus optional
-projective-profile and affine-relation filters.  The enumeration is an
-exact integer depth-first search: over the lcm ``scale`` of the pool's
-weight products each entry has the signed cofactor c = scale / e and the
-moment c * s, so a prefix carries its r = 0 and r = 1 residue sums, times
-``scale``, as two integer partials.  A prefix whose r = 0 partial the
-remaining points cannot cancel is pruned, and the last point is looked up
-rather than looped over: r = 0 pins its cofactor and, for n >= 2, r = 1
-pins its moment.  Each closed candidate is re-checked against every
-residue constraint before the filters.  The stream is canonically ordered
-and byte-deterministic: the multiset pool is sorted by (weight sum, weight
-product, weights) and candidates are emitted in lexicographic order of
-their non-decreasing pool-index tuples, which makes every emitted
-candidate's points already canonically sorted.
+projective-profile and affine-relation filters.
+
+The enumeration is an exact integer join.  Over the lcm ``scale`` of the
+pool's weight products, entry (s, e) has the residue terms c s^r for
+r = 0..n-1, with c = scale / e.  As |c| <= scale and |s| <= n B, a sum of at
+most m = n+1 entries has every term sum below radix/2 in absolute value, for
+radix = 2 m scale (n B)^(n-1) + 1.  Each entry's key packs its terms as
+sum_r c s^r radix^r; packing is additive, and a balanced base-radix
+expansion with digits inside (-radix/2, radix/2) is unique, so a packed sum
+of at most m entries is zero exactly when every residue constraint r < n
+holds.  A table holds every multiset of h = m // 2 pool entries under its
+negated packed sum, and a depth-first search over the first m - h points
+carries one packed partial sum and looks it up at its last level.  Each
+joined candidate is re-checked against every residue constraint before the
+filters.  The stream is canonically ordered and byte-deterministic: the
+multiset pool is sorted by (weight sum, weight product, weights) and
+candidates are emitted in lexicographic order of their non-decreasing
+pool-index tuples, which makes every emitted candidate's points already
+canonically sorted.
 """
 
 from __future__ import annotations
@@ -57,16 +63,12 @@ class SearchSpec:
     max_leaves: int = 10**8
 
     def __post_init__(self):
-        for name in ("n", "bound"):
+        for name in ("n", "bound", "max_leaves"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValidationError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.max_leaves, int) or self.max_leaves < 1:
-            raise ValidationError(
-                f"max_leaves must be a positive integer, got {self.max_leaves!r}"
-            )
         if self.k0 is not None:
             if isinstance(self.k0, bool) or not isinstance(self.k0, (int, Fraction)):
                 raise ValidationError(
@@ -113,7 +115,7 @@ def _weight_pool(spec: SearchSpec) -> list[tuple[int, int, tuple[int, ...]]]:
 
 
 def leaf_count(spec: SearchSpec) -> int:
-    """Raw combinations of point multisets the sweep would visit unpruned."""
+    """Raw combinations of point multisets in the sweep's space."""
     # size-n multisets over the 2B admissible values, then (n+1)-multisets
     # of those
     pool_size = math.comb(2 * spec.bound + spec.n - 1, spec.n)
@@ -148,12 +150,33 @@ def _build(n: int, entries: list[tuple[int, int, tuple[int, ...]]]) -> FixedPoin
     return FixedPointData(n, points)
 
 
+def _join(
+    keys: list[int],
+    table: dict[int, list[tuple[int, ...]]],
+    depth: int,
+    start: int = 0,
+    partial: int = 0,
+    chosen: tuple[int, ...] = (),
+) -> Iterator[tuple[int, ...]]:
+    # a module-level recursion: a nested closure naming itself would form a
+    # reference cycle that holds the table until the cyclic collector runs
+    for index in range(start, len(keys)):
+        total = partial + keys[index]
+        if depth > 1:
+            yield from _join(keys, table, depth - 1, index, total, (*chosen, index))
+        elif (tails := table.get(total)) is not None:
+            # tails are in lexicographic order, so those starting at or after
+            # index form a suffix
+            for tail in tails[bisect.bisect_left(tails, (index,)):]:
+                yield (*chosen, index, *tail)
+
+
 def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     """Yield every survivor of the sweep in canonical order.
 
-    The stream is identical across runs: candidates are visited by the
-    first point's pool index, in pool order.  Raises SearchSpaceError when
-    the raw space exceeds the spec's leaf budget.
+    Raises SearchSpaceError when the raw space exceeds the spec's leaf
+    budget.  That budget bounds the join table too: its C(P + h - 1, h)
+    entries, for a pool of P entries, never outnumber the raw leaves.
     """
     # the raw leaves number at least 2^n (the pool has at least n+1 entries and
     # C(2n+1, n+1) >= 2^n) and at least 2B, so a huge n or B needs no count
@@ -163,36 +186,17 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
             f"search space has more than {budget} raw leaves; raise max_leaves to proceed"
         )
     pool = _weight_pool(spec)
-    m = spec.point_count
-    # residue sums r = 0 and r = 1 over the common denominator `scale`
+    n, m = spec.n, spec.point_count
     scale = math.lcm(*(product for _, product, _ in pool))
-    cofactors = [scale // product for _, product, _ in pool]
-    moments = [c * s if spec.n > 1 else 0 for c, (s, _, _) in zip(cofactors, pool)]
-    closing: dict[tuple[int, int], list[int]] = {}
-    for index, key in enumerate(zip(cofactors, moments)):
-        closing.setdefault(key, []).append(index)
-    chosen: list[int] = []
-
-    def descend(start: int, r0: int, r1: int) -> Iterator[FixedPointData]:
-        # r0 and r1 are the prefix's residue sums at powers 0 and 1, times scale
-        depth = len(chosen)
-        # each further point shifts r0 by at most scale
-        if abs(r0) > (m - depth) * scale:
-            return
-        for index in range(start, len(pool)):
-            chosen.append(index)
-            next_r0, next_r1 = r0 + cofactors[index], r1 + moments[index]
-            if depth + 2 < m:
-                yield from descend(index, next_r0, next_r1)
-            # r = 0 pins the last point's cofactor and r = 1 its moment
-            elif (last := closing.get((-next_r0, -next_r1))) is not None:
-                for final in last[bisect.bisect_left(last, index):]:
-                    data = _build(spec.n, [pool[i] for i in chosen + [final]])
-                    if _accept(spec, data):
-                        yield data
-            chosen.pop()
-
-    yield from descend(0, 0, 0)
+    radix = 2 * m * scale * (n * spec.bound) ** (n - 1) + 1
+    keys = [sum((scale // e) * s**r * radix**r for r in range(n)) for s, e, _ in pool]
+    table: dict[int, list[tuple[int, ...]]] = {}
+    for tail in itertools.combinations_with_replacement(range(len(pool)), m // 2):
+        table.setdefault(-sum(map(keys.__getitem__, tail)), []).append(tail)
+    for indices in _join(keys, table, m - m // 2):
+        data = _build(n, [pool[i] for i in indices])
+        if _accept(spec, data):
+            yield data
 
 
 def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -36,6 +37,13 @@ def test_spec_validation():
         SearchSpec(n=1, bound=3, k0=-1)
     with pytest.raises(ValidationError):
         SearchSpec(n=1, bound=3, max_leaves=0)
+
+
+@pytest.mark.parametrize("name", ["n", "bound", "max_leaves"])
+def test_spec_rejects_booleans(name):
+    # bool is an int subclass, so True would otherwise read as 1
+    with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+        SearchSpec(**{"n": 1, "bound": 3, name: True})
 
 
 def test_leaf_count_matches_hand_computation():
@@ -251,9 +259,13 @@ def reference_survivors(n, bound, require_projective_profile=False, k0=None):
 
 @pytest.mark.parametrize(
     "n,bound",
-    [(1, b) for b in range(1, 5)] + [(2, b) for b in range(1, 5)] + [(3, 1), (3, 2)],
+    [(1, b) for b in range(1, 5)]
+    + [(2, b) for b in range(1, 5)]
+    + [(3, 1), (3, 2)]
+    + [(n, 1) for n in range(4, 8)],
 )
 def test_enumeration_matches_reference_brute_force(n, bound):
+    # n = 4..7 join tails of h = 2, 3, 3 and 4 points onto the searched heads
     # k0 = n+1 is the multiplier of the projective model
     for options in FILTERS + [{"k0": n + 1}]:
         survivors = enumerate_survivors(SearchSpec(n=n, bound=bound, **options))
@@ -270,3 +282,53 @@ def test_rigidity_sweeps_at_3_3_and_4_2_are_fast():
     ]
     assert time.perf_counter() - started < 2.0
     assert counts == [21, 8]
+
+
+# sha256 of stdout and of the --output stream of `fpkit search`, recorded from
+# the depth-first search with a last-point closure that the join replaced
+PINNED_SEARCHES = [
+    (["--n", "3", "--bound", "3"], None,
+     "e03e99c6ab622930bf5fb1233cd1ad16e4b000588fd6e8f6c602f04cc5c8641d",
+     "1305de4fe6aec197cfb19ea137f97e99954415b138342b1a1d9292568da6caf5"),
+    (["--n", "3", "--bound", "4"], None,
+     "de7d5c67dc4d2d07bb39dc31afaf5bd2fedb819e98f752c06e3ebf990ec3e28e",
+     "32cecc611afcfbdd72f98f17b2e5936a33d54570962f40fe1ffc63e90f2f0fd5"),
+    (["--n", "4", "--bound", "2"], None,
+     "d143b42108d4d1f6f58fac13f3778cddae84bee0a1869ecbc39cbfb13c6652bc",
+     "9e2e8b1fe56e1e6e3167fff0240f54459c0aaca88d53b9870604c2aeaec2cb44"),
+    (["--n", "5", "--bound", "2"], None,
+     "208c9df626dce9b5c80110f0b2c7e1d029bea8b4f13eeb0598f380f9e68dc17b",
+     "5d811278b606b83dcdc19db4cdeb0c61fe80a648d5b9a6b8645bc5e7af788448"),
+    (["--n", "4", "--bound", "3"], "1000000000",
+     "b6b8a0aa486bb61600e4aca23ebebc89be09482ef8ae92fbb18050bc5a5e003f",
+     "8856bf396f5c5e6ee476264360fd14a0471500ecd0c3a1824e8fe2ac780b513d"),
+    (["--n", "3", "--bound", "4", "--require-profile"], None,
+     "2876591e825bcd576343bcd742db42921043179400ad66cd0e1d680e8b750e65",
+     "2ef2b7b172e61cc33b801bf464e96f2ae5c1a317e58b67f4ee6cfb8763414fd7"),
+]
+
+
+@pytest.mark.parametrize("args,max_leaves,stdout_digest,stream_digest", PINNED_SEARCHES)
+def test_search_output_is_pinned(
+    args, max_leaves, stdout_digest, stream_digest, tmp_path, monkeypatch, capsys
+):
+    if max_leaves is None:
+        monkeypatch.delenv("FPKIT_MAX_LEAVES", raising=False)
+    else:
+        monkeypatch.setenv("FPKIT_MAX_LEAVES", max_leaves)
+    output = tmp_path / "survivors.json"
+    assert main(["search", *args, "--output", str(output)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == stream_digest
+
+
+def test_rigidity_sweeps_at_4_3_and_5_2_are_fast():
+    # about 8 s with the last-point closure alone
+    started = time.perf_counter()
+    counts = [
+        rigidity_experiment(SearchSpec(n=n, bound=bound, max_leaves=10**9)).survivor_count
+        for n, bound in ((4, 3), (5, 2))
+    ]
+    assert time.perf_counter() - started < 1.5
+    assert counts == [226, 220]
