@@ -43,17 +43,13 @@ from .localization import (
     residue_sum,
 )
 from .models import linear_pn, pair_restriction_check
-from .search import SearchSpaceError, SearchSpec, rigidity_experiment
+from .search import SearchSpec, rigidity_experiment
 
 SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
-
-
-def _emit(document: dict) -> None:
-    sys.stdout.write(to_json(document))
 
 
 def _fail(message: str) -> int:
@@ -88,7 +84,8 @@ def _load_stream(path: str) -> list[FixedPointData]:
     return documents
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(text: str, path: str | None = None) -> None:
+    """The one writer of command output: stdout, or the file at ``path``."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -135,7 +132,7 @@ def _parse_embedding(raw: str) -> dict[str, str]:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     documents = _load_stream(args.path)
-    sys.stdout.write("".join(serialize(data) for data in documents))
+    _write_output("".join(serialize(data) for data in documents))
     return EXIT_OK
 
 
@@ -164,7 +161,7 @@ def _report(data: FixedPointData) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     documents = _load_stream(args.path)
-    sys.stdout.write("".join(to_json(_report(data)) for data in documents))
+    _write_output("".join(to_json(_report(data)) for data in documents))
     return EXIT_OK
 
 
@@ -189,15 +186,11 @@ def cmd_hattori(args: argparse.Namespace) -> int:
     try:
         verdict = hattori_verdict(data)
     except BundleDerivationError as exc:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "passes": False,
-                "error": str(exc),
-            }
+        _write_output(
+            to_json({"schema_version": SCHEMA_VERSION, "passes": False, "error": str(exc)})
         )
         return EXIT_FAIL
-    _emit({"schema_version": SCHEMA_VERSION, **_verdict_payload(verdict)})
+    _write_output(to_json({"schema_version": SCHEMA_VERSION, **_verdict_payload(verdict)}))
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
 
@@ -221,13 +214,12 @@ def cmd_pair(args: argparse.Namespace) -> int:
     hypersurface = _load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
     report = pair_restriction_check(ambient, hypersurface, embedding)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            **vars(report),
-            "points": [vars(row) for row in report.points],
-        }
-    )
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        **vars(report),
+        "points": [vars(row) for row in report.points],
+    }
+    _write_output(to_json(document))
     return EXIT_OK if report.passes else EXIT_FAIL
 
 
@@ -244,7 +236,7 @@ def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> d
 def cmd_search(args: argparse.Namespace) -> int:
     override = os.environ.get("FPKIT_MAX_LEAVES")
     try:
-        max_leaves = 10**8 if override is None else int(override)
+        max_leaves = SearchSpec.max_leaves if override is None else int(override)
     except ValueError:
         raise ValidationError(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
     if args.k0 is not None and not args.require_condition_c:
@@ -282,7 +274,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             for data, reason in experiment.hypothesis_failures
         ],
     }
-    _emit(document)
+    _write_output(to_json(document))
     return EXIT_OK if not experiment.counterexamples else EXIT_FAIL
 
 
@@ -292,7 +284,7 @@ def cmd_c1candidates(args: argparse.Namespace) -> int:
         "n": args.n,
         "candidates": [vars(c) for c in first_chern_candidates(args.n)],
     }
-    _emit(document)
+    _write_output(to_json(document))
     return EXIT_OK
 
 
@@ -375,7 +367,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValidationError, SearchSpaceError) as exc:
+    except ValidationError as exc:
         return _fail(str(exc))
 
 

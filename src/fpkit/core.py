@@ -26,10 +26,18 @@ class ValidationError(ValueError):
     """Raised when raw input or constructed data violates a model invariant."""
 
 
-def _check_int(value: Any, what: str) -> int:
-    # bool is an int subclass; reject it explicitly.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+_KIND = {None: "an", 0: "a nonnegative", 1: "a positive"}
+
+
+def _check_int(value: Any, what: str, minimum: int | None = None) -> int:
+    """The one integer check: ``value`` is an int, not a bool (an int
+    subclass), and at least ``minimum`` (None, 0 or 1) when that is given."""
+    if (
+        not isinstance(value, int)
+        or isinstance(value, bool)
+        or (minimum is not None and value < minimum)
+    ):
+        raise ValidationError(f"{what} must be {_KIND[minimum]} integer, got {value!r}")
     return value
 
 
@@ -81,21 +89,17 @@ class FixedPointDatum:
     def __init__(self, label: str, weights: Iterable[int]):
         if not isinstance(label, str):
             raise ValidationError(f"point label must be a string, got {label!r}")
+        what = f'weight of point "{label}"'
         object.__setattr__(self, "label", label)
-        weights = tuple(weights)
-        try:
-            object.__setattr__(self, "weights", tuple(sorted(weights)))
-        except TypeError:  # a string, null or list next to a number
-            for w in weights:
-                _check_int(w, f'weight of point "{label}"')
-            raise
-        for position, w in enumerate(self.weights):
-            _check_int(w, f'weight of point "{self.label}"')
-            if w == 0:
-                raise ValidationError(
-                    f'zero weight at point "{self.label}" (position {position}): '
-                    "isolated fixed points have all weights nonzero"
-                )
+        # checked in input order, so the first non-integer given is named
+        object.__setattr__(
+            self, "weights", tuple(sorted(_check_int(w, what) for w in weights))
+        )
+        if 0 in self.weights:
+            raise ValidationError(
+                f'zero weight at point "{label}" (position {self.weights.index(0)}): '
+                "isolated fixed points have all weights nonzero"
+            )
 
     @property
     def weight_sum(self) -> int:
@@ -329,6 +333,4 @@ def betti_numbers(data: FixedPointData) -> tuple[int, ...]:
 def projective_profile(data: FixedPointData) -> bool:
     """True when the data has n+1 points whose negative-weight counts are a
     permutation of 0..n (the Betti profile of the standard model)."""
-    if data.point_count != data.n + 1:
-        return False
-    return sorted(p.negative_count for p in data.points) == list(range(data.n + 1))
+    return betti_numbers(data) == (1,) * (data.n + 1)

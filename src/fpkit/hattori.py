@@ -16,7 +16,7 @@ import dataclasses
 from fractions import Fraction
 
 from . import localization
-from .core import BundleWeights, FixedPointData, ValidationError
+from .core import BundleWeights, FixedPointData, ValidationError, _check_int
 
 
 class _PointError(ValueError):
@@ -110,14 +110,6 @@ class ChernClassCandidate:
     reason: str
 
 
-def _check_k0(k0: int) -> int:
-    if not isinstance(k0, int) or isinstance(k0, bool):
-        raise ValidationError(f"k0 must be a nonnegative integer, got {k0!r}")
-    if k0 < 0:
-        raise ValidationError(f"k0 must be a nonnegative integer, got {k0}")
-    return k0
-
-
 def check_condition_c(
     data: FixedPointData, bundle: BundleWeights, k0: int
 ) -> ConditionCCertificate:
@@ -126,7 +118,7 @@ def check_condition_c(
     The offset is pinned by the first point; the first point violating the
     relation is reported in the raised error.
     """
-    _check_k0(k0)
+    _check_int(k0, "k0", 0)
     if len(bundle) != data.point_count:
         raise ValidationError(
             f"bundle weight count {len(bundle)} does not match point count "
@@ -223,8 +215,7 @@ def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
     The larger root n+1 always qualifies; the smaller root (n+1)/2
     qualifies exactly when n = 3 (mod 4).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n!r}")
+    _check_int(n, "dimension", 1)
     # the discriminant 9(n+1)^2 - 8(n+1)^2 is (n+1)^2, so the roots are
     # (3(n+1) +- (n+1)) / 4
     candidates = []

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, prod
 
-from .core import BundleWeights, FixedPointData, ValidationError
+from .core import BundleWeights, FixedPointData, ValidationError, _check_int
 from .laurent import LaurentPoly
 
 
@@ -62,8 +62,7 @@ def residue_sum(data: FixedPointData, power: int) -> Fraction:
     kept on the data object, at about the cost of one :func:`localize`
     call; a higher power rebuilds it up to that power.
     """
-    if power < 0:
-        raise ValueError(f"power must be nonnegative, got {power}")
+    _check_int(power, "power", 0)
     numerator = _residue_numerators(data, power)[power]
     return Fraction(numerator, data.common_denominator[0])
 
@@ -98,12 +97,11 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     """
     indices = tuple(indices)
     for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-            raise ValueError(f"Chern indices must be positive integers, got {i!r}")
+        _check_int(i, "Chern index", 1)
     if not indices:
-        raise ValueError("a Chern monomial needs at least one index")
+        raise ValidationError("a Chern monomial needs at least one index")
     if sum(indices) != data.n:
-        raise ValueError(f"monomial degree {sum(indices)} does not match n = {data.n}")
+        raise ValidationError(f"monomial degree {sum(indices)} does not match n = {data.n}")
     sigmas = [_elementary_symmetric(p.weights, max(indices)) for p in data.points]
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
@@ -148,8 +146,7 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
     the genus is the integer polynomial
     sum over k <= n of C(n+1, k) (-y)^k (1 + y)^{n-k}.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_int(n, "dimension", 1)
     coefficients = [0] * (n + 1)
     for k in range(n + 1):
         for j in range(n - k + 1):
@@ -163,11 +160,12 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
     The constant coefficient equals the Euler characteristic when the input
     polynomial came from fixed-point data.
     """
+    _check_int(n, "dimension", 0)
     if not chi.is_zero():
         if not chi.is_polynomial():
-            raise ValueError("genus input must be a polynomial (no negative powers)")
+            raise ValidationError("genus input must be a polynomial (no negative powers)")
         if chi.degree() > n:
-            raise ValueError(f"polynomial degree {chi.degree()} exceeds n = {n}")
+            raise ValidationError(f"polynomial degree {chi.degree()} exceeds n = {n}")
     values = [0] * (n + 1)
     for i, c in chi.terms:
         for j in range(i + 1):
@@ -179,12 +177,11 @@ def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:
     """Recover the Chern number c_1 c_{n-1} from the quadratic Taylor
     coefficient of the genus at y = -1 and the Euler characteristic.
 
-    Raises when the result is not an integer, which signals inconsistent
-    input data.
+    Raises ValidationError when the result is not an integer, which signals
+    inconsistent input data.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_int(n, "dimension", 1)
     value = 12 * Fraction(k2) - Fraction(n * (3 * n - 5), 2) * euler
     if value.denominator != 1:
-        raise ValueError(f"c1*c(n-1) came out non-integral ({value}); inconsistent input")
+        raise ValidationError(f"c1*c(n-1) came out non-integral ({value}); inconsistent input")
     return int(value)

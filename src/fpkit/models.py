@@ -137,15 +137,9 @@ def pair_restriction_check(
     rows = []
     for point in hypersurface.points:
         image = ambient_points[mapping[point.label]]
-        leftover = Counter(image.weights)
-        leftover.subtract(point.weights)
-        missing = tuple(
-            sorted(w for w, c in leftover.items() if c < 0 for _ in range(-c))
-        )
-        normal = None
-        if not missing:
-            extras = [w for w, c in leftover.items() if c > 0 for _ in range(c)]
-            normal = extras[0]
+        missing = tuple(sorted((Counter(point.weights) - Counter(image.weights)).elements()))
+        # with nothing missing, the one leftover ambient weight is the sum difference
+        normal = None if missing else image.weight_sum - point.weight_sum
         expected = (
             expected_by_image.get(image.label)
             if expected_by_image is not None

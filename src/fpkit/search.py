@@ -33,7 +33,13 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .core import FixedPointData, FixedPointDatum, ValidationError, projective_profile
+from .core import (
+    FixedPointData,
+    FixedPointDatum,
+    ValidationError,
+    _check_int,
+    projective_profile,
+)
 from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict
 from .localization import residue_constraints_hold
 # Unused: bench/smoke.py checks that the tracer patches this name; drop it once
@@ -41,7 +47,7 @@ from .localization import residue_constraints_hold
 from .localization import residue_sum  # noqa: F401
 
 
-class SearchSpaceError(RuntimeError):
+class SearchSpaceError(ValidationError):
     """The requested space exceeds the configured leaf budget."""
 
 
@@ -64,11 +70,7 @@ class SearchSpec:
 
     def __post_init__(self):
         for name in ("n", "bound", "max_leaves"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValidationError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
+            _check_int(getattr(self, name), name, 1)
         if self.k0 is not None:
             if isinstance(self.k0, bool) or not isinstance(self.k0, (int, Fraction)):
                 raise ValidationError(

@@ -58,6 +58,9 @@ def test_datum_sorts_weights_and_derives_invariants():
 def test_datum_rejects_zero_weight():
     with pytest.raises(ValidationError, match=r'point "P1" \(position 0\)'):
         FixedPointDatum("P1", (0, 3))
+    # the position is the one in the sorted weights
+    with pytest.raises(ValidationError, match=r'point "P" \(position 1\)'):
+        FixedPointDatum("P", (3, 0, -1))
 
 
 @pytest.mark.parametrize(
@@ -65,8 +68,8 @@ def test_datum_rejects_zero_weight():
     [([1, "a"], "'a'"), ([1, None], "None"), ([1, [2]], "[2]"), ([2, 1.5, "x"], "1.5")],
 )
 def test_unorderable_weights_name_the_first_non_integer(weights, shown):
-    # sorting raises TypeError on these; the first non-integer in input
-    # order is reported instead
+    # every weight is checked in input order before sorting, which would
+    # raise TypeError on these
     message = re.escape(f'weight of point "P" must be an integer, got {shown}') + "$"
     with pytest.raises(ValidationError, match=message):
         FixedPointDatum("P", weights)
@@ -75,9 +78,12 @@ def test_unorderable_weights_name_the_first_non_integer(weights, shown):
 
 
 def test_orderable_bad_weights_keep_their_message():
-    # these sort without error, so the first non-integer in sorted order is named
+    # these sort without error; the first non-integer is still named, and
+    # before a zero weight
     with pytest.raises(ValidationError, match=r"got 1\.5$"):
         FixedPointDatum("P", [2, 1.5])
+    with pytest.raises(ValidationError, match=r"got 1\.5$"):
+        FixedPointDatum("P", [0, 1.5])
     with pytest.raises(ValidationError, match="got True$"):
         FixedPointDatum("P", [1, True])
     with pytest.raises(ValidationError, match="point label must be a string, got 7$"):
@@ -196,6 +202,14 @@ def test_projective_profile_examples():
         1, (FixedPointDatum("A", (1,)), FixedPointDatum("B", (1,)))
     )
     assert not projective_profile(lopsided)
+    three = FixedPointData(1, (*lopsided.points, FixedPointDatum("C", (-1,))))
+    assert betti_numbers(three) == (2, 1)
+    assert not projective_profile(three)
+
+
+def test_data_needs_a_fixed_point():
+    with pytest.raises(ValidationError, match="^at least one fixed point is required$"):
+        FixedPointData(1, ())
 
 
 def test_bundle_weight_operations():
@@ -204,6 +218,8 @@ def test_bundle_weight_operations():
     assert BundleWeights((5, 6, 8)).normalized().values == (0, 1, 3)
     assert bundle.pairwise_distinct()
     assert not BundleWeights((0, 0, 1)).pairwise_distinct()
+    empty = BundleWeights(())
+    assert empty.normalized() is empty
 
 
 def test_tangent_character_counts_weights():

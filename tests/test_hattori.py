@@ -76,6 +76,11 @@ def test_condition_c_rejects_bad_multiplier_and_misalignment():
         check_condition_c(data, data.bundle, -1)
     with pytest.raises(ValidationError):
         check_condition_c(data, BundleWeights((0,)), 2)
+    for k0, shown in ((1.5, r"1\.5"), (True, "True")):
+        with pytest.raises(
+            ValidationError, match=f"k0 must be a nonnegative integer, got {shown}$"
+        ):
+            check_condition_c(data, data.bundle, k0)
 
 
 def test_derive_bundle_weights_reference_cases():

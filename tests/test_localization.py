@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpkit import cli
-from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum
+from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
 from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
 from fpkit.localization import (
@@ -44,8 +44,17 @@ def test_residue_sum_smallest_model():
 
 
 def test_residue_sum_rejects_negative_power():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="power must be a nonnegative integer, got -1$"):
         residue_sum(linear_pn((0, 1)), -1)
+
+
+@pytest.mark.parametrize("power, shown", [(True, "True"), (2.0, r"2\.0")])
+def test_residue_sum_rejects_non_integer_power(power, shown):
+    # True would otherwise read as power 1, and 2.0 would index the table
+    with pytest.raises(
+        ValidationError, match=f"power must be a nonnegative integer, got {shown}$"
+    ):
+        residue_sum(linear_pn((0, 1)), power)
 
 
 def test_residue_constraints_examples():
@@ -97,12 +106,16 @@ def test_chern_monomial_on_a_large_projective_model():
 
 
 def test_chern_monomial_rejects_wrong_degree():
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(ValidationError, match="degree"):
         chern_monomial(linear_pn((0, 1, 3)), (1,))
-    with pytest.raises(ValueError, match="at least one index"):
+    with pytest.raises(ValidationError, match="at least one index"):
         chern_monomial(linear_pn((0, 1, 3)), ())
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(ValidationError, match="Chern index must be a positive integer"):
         chern_monomial(linear_pn((0, 1, 3)), (0, 2))
+    with pytest.raises(ValidationError, match="got True$"):
+        chern_monomial(linear_pn((0, 1, 3)), (True, 1))
+    with pytest.raises(ValidationError, match=r"got 1\.0$"):
+        chern_monomial(linear_pn((0, 1, 3)), (1.0, 1))
 
 
 def test_line_bundle_power_examples():
@@ -131,8 +144,17 @@ def test_chi_y_hrr_matches_alternating_polynomial():
 
 
 def test_chi_y_hrr_rejects_nonpositive_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="dimension must be a positive integer, got 0$"):
         chi_y_hrr_projective(0)
+
+
+@pytest.mark.parametrize("n, shown", [(True, "True"), (2.0, r"2\.0")])
+def test_dimension_arguments_reject_non_integers(n, shown):
+    message = f"dimension must be a positive integer, got {shown}$"
+    with pytest.raises(ValidationError, match=message):
+        chi_y_hrr_projective(n)
+    with pytest.raises(ValidationError, match=message):
+        c1cn1_from_k2(0, 2, n)
 
 
 def test_k_coefficients_reference_values():
@@ -152,17 +174,22 @@ def test_k_coefficients_invert_the_expansion():
 
 
 def test_k_coefficients_reject_bad_polynomials():
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValidationError, match="exceeds"):
         k_coefficients(LaurentPoly({3: 1}), 2)
-    with pytest.raises(ValueError, match="polynomial"):
+    with pytest.raises(ValidationError, match="polynomial"):
         k_coefficients(LaurentPoly({-1: 1}), 2)
+    for n, shown in ((-1, "-1"), (True, "True"), (1.5, r"1\.5")):
+        with pytest.raises(
+            ValidationError, match=f"dimension must be a nonnegative integer, got {shown}$"
+        ):
+            k_coefficients(LaurentPoly({0: 1}), n)
 
 
 def test_c1cn1_reference_values():
     assert c1cn1_from_k2(1, 3, 2) == 9
-    with pytest.raises(ValueError, match="non-integral"):
+    with pytest.raises(ValidationError, match="non-integral"):
         c1cn1_from_k2(Fraction(1, 5), 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="dimension must be a positive integer, got 0$"):
         c1cn1_from_k2(1, 3, 0)
 
 

@@ -37,6 +37,15 @@ def test_spec_validation():
         SearchSpec(n=1, bound=3, k0=-1)
     with pytest.raises(ValidationError):
         SearchSpec(n=1, bound=3, max_leaves=0)
+    with pytest.raises(
+        ValidationError, match="k0 must be an integer or exact rational, got '3'$"
+    ):
+        SearchSpec(n=1, bound=1, k0="3")
+
+
+def test_search_space_error_is_a_validation_error():
+    # so the CLI maps a refused space to exit 2 through one except clause
+    assert issubclass(SearchSpaceError, ValidationError)
 
 
 @pytest.mark.parametrize("name", ["n", "bound", "max_leaves"])
