@@ -11,6 +11,7 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from collections.abc import Iterable, Iterator, Mapping
@@ -89,12 +90,14 @@ class FixedPointDatum:
     def __init__(self, label: str, weights: Iterable[int]):
         if not isinstance(label, str):
             raise ValidationError(f"point label must be a string, got {label!r}")
-        what = f'weight of point "{label}"'
         object.__setattr__(self, "label", label)
-        # checked in input order, so the first non-integer given is named
-        object.__setattr__(
-            self, "weights", tuple(sorted(_check_int(w, what) for w in weights))
-        )
+        weights = tuple(weights)
+        if not {*map(type, weights)} <= {int}:
+            # checked in input order, so the first non-integer given is named
+            what = f'weight of point "{label}"'
+            for w in weights:
+                _check_int(w, what)
+        object.__setattr__(self, "weights", tuple(sorted(weights)))
         if 0 in self.weights:
             raise ValidationError(
                 f'zero weight at point "{label}" (position {self.weights.index(0)}): '
@@ -111,7 +114,7 @@ class FixedPointDatum:
 
     @property
     def negative_count(self) -> int:
-        return sum(1 for w in self.weights if w < 0)
+        return bisect.bisect_left(self.weights, 0)
 
     def tangent_character(self) -> LaurentPoly:
         """The tangent space as a virtual representation: sum of t^w over weights."""
@@ -135,6 +138,10 @@ class FixedPointData:
             raise ValidationError("at least one fixed point is required")
         labels = set()
         for index, point in enumerate(self.points):
+            if not isinstance(point, FixedPointDatum):
+                raise ValidationError(
+                    f"fixed point (index {index}) must be a FixedPointDatum, got {point!r}"
+                )
             if len(point.weights) != self.n:
                 raise ValidationError(
                     f'point "{point.label}" (index {index}) has {len(point.weights)} '
@@ -143,11 +150,14 @@ class FixedPointData:
             if point.label in labels:
                 raise ValidationError(f'duplicate point label "{point.label}"')
             labels.add(point.label)
-        if self.bundle is not None and len(self.bundle) != len(self.points):
-            raise ValidationError(
-                f"bundle weight sequence length {len(self.bundle)} does not match "
-                f"point count {len(self.points)}"
-            )
+        if self.bundle is not None:
+            if not isinstance(self.bundle, BundleWeights):
+                raise ValidationError(f"bundle must be BundleWeights or None, got {self.bundle!r}")
+            if len(self.bundle) != len(self.points):
+                raise ValidationError(
+                    f"bundle weight sequence length {len(self.bundle)} does not match "
+                    f"point count {len(self.points)}"
+                )
 
     @property
     def point_count(self) -> int:

@@ -5,10 +5,12 @@ functions of the weights divided by the weight product, evaluated in exact
 rational arithmetic over the lcm of the weight products.  That lcm and its
 cofactors are computed once per data object, not once per sum, and so is
 the running-product table behind :func:`residue_sum`; every other sum goes
-through :func:`localize`.  The genus polynomial of the standard projective
-model is additionally computed a second, independent way, as an integer
-residue sum from its characteristic power series, so the two routes can be
-checked against each other.
+through :func:`localize`.  A Chern monomial reads the elementary symmetric
+functions of each point's weights, up to its largest index, off one packed
+integer product with one big-integer step per weight.  The genus polynomial
+of the standard projective model is additionally computed a second,
+independent way, as an integer residue sum from its characteristic power
+series, so the two routes can be checked against each other.
 """
 
 from __future__ import annotations
@@ -78,11 +80,33 @@ def c1_power(data: FixedPointData) -> Fraction:
 
 
 def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
-    # coefficients of prod (1 + v z) up to z^top; entry j is sigma_j
-    sigma = [1] + [0] * top
+    """Coefficients of prod (1 + v z) up to z^top; entry j is sigma_j.
+
+    The product is taken as one integer at z = 2^bits, modulo
+    2^(bits (top + 1)): one big-integer step per weight, after which the
+    coefficients are the top + 1 balanced base-2^bits digits.  The digits
+    are exact when every |sigma_j| < 2^(bits - 1).  With n values and
+    W = max |v|, every j <= top has |sigma_j| <= C(n, j) W^j, which is at
+    most (nW)^j <= (nW)^top < 2^(top * bit_length(nW)), and also at most
+    2^n W^top < 2^(n + top * bit_length(W)).  So bits = 2 + the smaller of
+    the two exponents is enough; the second is the smaller one when top is
+    a large share of n.
+    """
+    n, width = len(values), max(map(abs, values))
+    bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
+    mask = (1 << bits * (top + 1)) - 1
+    acc = 1
     for v in values:
-        for j in range(top, 0, -1):
-            sigma[j] += v * sigma[j - 1]
+        acc = (acc + (acc * v << bits)) & mask
+    digit_mask, half = (1 << bits) - 1, 1 << bits - 1
+    sigma = []
+    for _ in range(top + 1):
+        digit = acc & digit_mask
+        acc >>= bits
+        if digit >= half:
+            digit -= 1 << bits
+            acc += 1
+        sigma.append(digit)
     return sigma
 
 
@@ -168,8 +192,11 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
             raise ValidationError(f"polynomial degree {chi.degree()} exceeds n = {n}")
     values = [0] * (n + 1)
     for i, c in chi.terms:
+        # term runs through c * C(i, j) * (-1)^(i - j); each step divides exactly
+        term = -c if i % 2 else c
         for j in range(i + 1):
-            values[j] += c * comb(i, j) * (-1) ** (i - j)
+            values[j] += term
+            term = -term * (i - j) // (j + 1)
     return tuple(values)
 
 

@@ -8,7 +8,7 @@ import dataclasses
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
-from .core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
+from .core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, _check_int
 
 
 def linear_pn(values: Sequence[int]) -> FixedPointData:
@@ -34,6 +34,7 @@ def linear_pn(values: Sequence[int]) -> FixedPointData:
         )
     seen = set()
     for value in entries:
+        _check_int(value, "linear model weight")
         if value in seen:
             raise ValidationError(
                 f"linear model weights must be pairwise distinct, {value} repeats"

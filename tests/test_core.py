@@ -212,6 +212,33 @@ def test_data_needs_a_fixed_point():
         FixedPointData(1, ())
 
 
+def test_data_rejects_points_and_bundles_of_the_wrong_type():
+    point = FixedPointDatum("P", [1])
+    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights or None, got \[0\]$"):
+        FixedPointData(1, [point], bundle=[0])
+    with pytest.raises(
+        ValidationError,
+        match=r"^fixed point \(index 0\) must be a FixedPointDatum, got \('P', \(1, 2\)\)$",
+    ):
+        FixedPointData(2, [("P", (1, 2))])
+    with pytest.raises(ValidationError, match=r"\(index 1\) must be a FixedPointDatum, got None$"):
+        FixedPointData(1, [point, None])
+
+
+def test_datum_accepts_int_subclasses():
+    class Weight(int):
+        pass
+
+    datum = FixedPointDatum("P", [Weight(2), -1, Weight(-3)])
+    assert datum.weights == (-3, -1, 2)
+    assert datum.negative_count == 2
+
+
+@given(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
+def test_negative_count_counts_the_negative_weights(weights):
+    assert FixedPointDatum("P", weights).negative_count == sum(w < 0 for w in weights)
+
+
 def test_bundle_weight_operations():
     bundle = BundleWeights((0, 1, 3))
     assert bundle.shifted(5).values == (5, 6, 8)

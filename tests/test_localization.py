@@ -14,6 +14,7 @@ from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, Validatio
 from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
 from fpkit.localization import (
+    _elementary_symmetric,
     c1cn1_from_k2,
     c1_power,
     chern_monomial,
@@ -105,6 +106,42 @@ def test_chern_monomial_on_a_large_projective_model():
         assert chern_monomial(data, indices) == expected, indices
 
 
+def test_chern_monomial_on_a_large_model_with_spread_weights():
+    # 90 points with weights up to about 2000 in size: big packed digits
+    rng = random.Random(90)
+    data = linear_pn(rng.sample(range(-1000, 1001), 90))
+    for indices in ([89], [1] * 89, [45, 44], [13, 30, 1, 45], [2] * 44 + [1], [7] * 12 + [5]):
+        expected = math.prod(math.comb(90, i) for i in indices)
+        assert chern_monomial(data, indices) == expected, indices
+
+
+def brute_elementary_symmetric(values, top):
+    return [sum(map(math.prod, itertools.combinations(values, j))) for j in range(top + 1)]
+
+
+def test_elementary_symmetric_matches_brute_force_sums():
+    rng = random.Random(14)
+    for n in range(1, 11):
+        for _ in range(10):
+            width = rng.choice((1, 9, 1000, 10**9))
+            values = [rng.choice((-1, 1)) * rng.randint(1, width) for _ in range(n)]
+            for top in range(n + 1):
+                assert _elementary_symmetric(values, top) == brute_elementary_symmetric(
+                    values, top
+                ), (values, top)
+
+
+@pytest.mark.parametrize("width", [1, 2, 1000, 10**9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_elementary_symmetric_at_the_size_bound(width, sign):
+    # equal weights reach |sigma_j| = C(n, j) W^j, the bound the digit width
+    # is chosen from
+    for n in range(1, 11):
+        for top in range(n + 1):
+            expected = [math.comb(n, j) * (sign * width) ** j for j in range(top + 1)]
+            assert _elementary_symmetric([sign * width] * n, top) == expected, (n, top)
+
+
 def test_chern_monomial_rejects_wrong_degree():
     with pytest.raises(ValidationError, match="degree"):
         chern_monomial(linear_pn((0, 1, 3)), (1,))
@@ -171,6 +208,29 @@ def test_k_coefficients_invert_the_expansion():
     for j, value in enumerate(coefficients):
         rebuilt = rebuilt + value * shifted**j
     assert rebuilt == chi
+
+
+def sympy_k_coefficients(sympy, chi, n):
+    # the coefficients of chi(u - 1) in u
+    u = sympy.symbols("u")
+    shifted = sympy.Poly(0, u)
+    for i, c in chi.terms:
+        shifted += c * sympy.Poly(u - 1, u) ** i
+    return tuple(int(shifted.coeff_monomial(u**j)) for j in range(n + 1))
+
+
+def test_k_coefficients_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(15)
+    for _ in range(40):
+        degree = rng.randint(0, 15)
+        chi = LaurentPoly(
+            (i, rng.randint(-(10**30), 10**30)) for i in range(degree + 1) if rng.random() < 0.7
+        )
+        n = degree + rng.randint(0, 3)
+        assert k_coefficients(chi, n) == sympy_k_coefficients(sympy, chi, n), chi
+    chi = LaurentPoly({2000: -7})
+    assert k_coefficients(chi, 2000) == sympy_k_coefficients(sympy, chi, 2000)
 
 
 def test_k_coefficients_reject_bad_polynomials():

@@ -40,6 +40,13 @@ def test_linear_pn_rejects_repeats_and_short_input():
         linear_pn((0,))
 
 
+@pytest.mark.parametrize("values, shown", [((1.5, 2), r"1\.5"), ((0, True), "True"), ((0, "3"), "'3'")])
+def test_linear_pn_names_the_bad_input_weight(values, shown):
+    # not a weight difference such as -0.5
+    with pytest.raises(ValidationError, match=f"^linear model weight must be an integer, got {shown}$"):
+        linear_pn(values)
+
+
 def test_hyperplane_model_matches_linear_recipe():
     assert [p.weights for p in linear_pn((0, 1)).points] == [(-1,), (1,)]
 
