@@ -204,6 +204,11 @@ def cmd_model(args: argparse.Namespace) -> int:
     # the ambient weights are validated under --hyperplane as well
     data = linear_pn(weights)
     if args.hyperplane:
+        if len(weights) < 3:
+            raise ValidationError(
+                "--hyperplane needs at least three ambient weights, since the "
+                f"hyperplane of P^1 has dimension 0; got {len(weights)}"
+            )
         data = linear_pn(weights[:-1])
     _write_output(serialize(data), args.output)
     return EXIT_OK

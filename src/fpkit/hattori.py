@@ -5,9 +5,12 @@ hypotheses of Hattori's rigidity theorem hold (an affine relation between
 weight sums and line-bundle weights, and quasi-ampleness: pairwise distinct
 bundle weights with a nonvanishing top power) and whether the advertised
 conclusion holds (every weight multiset has the pairwise-difference form of
-the standard projective model, with top bundle power exactly 1).  The module
-also houses the Vandermonde grouping argument for distinctness of weight
-sums and the quadratic solver for the admissible first Chern numbers.
+the standard projective model, with top bundle power exactly 1).  The
+conclusion is decided first: when it holds, the top power is 1 by the
+Lagrange identity, so only a failing verdict pays for a localization sum.
+The module also houses the Vandermonde grouping argument for distinctness
+of weight sums and the quadratic solver for the admissible first Chern
+numbers.
 """
 
 from __future__ import annotations
@@ -86,9 +89,11 @@ class RigidityVerdict:
     bundle weights are quasi-ample, the affine relation holds with
     multiplier n+1 and the top bundle power is exactly 1.  ``quasi_ample``
     holds when the normalized weights are pairwise distinct and
-    ``bundle_power`` is nonzero.  All stages are evaluated even after the
-    first failure so the verdict localizes everything that went wrong.  The
-    fields, in order, are those of the ``fpkit hattori`` document.
+    ``bundle_power`` is nonzero.  A passing verdict takes ``bundle_power``
+    from the Lagrange identity sum_i a_i^n / prod_{j != i} (a_i - a_j) = 1;
+    a failing one runs every stage, the localization sum included, so the
+    verdict localizes everything that went wrong.  The fields, in order,
+    are those of the ``fpkit hattori`` document.
     """
 
     passes: bool
@@ -260,10 +265,11 @@ def hattori_verdict(
         bundle = data.bundle
     if bundle is None:
         bundle = derive_bundle_weights(data)
+    if len(bundle) != scale:
+        raise ValidationError(
+            f"bundle weight count {len(bundle)} does not match point count {scale}"
+        )
     normalized = bundle.normalized()
-    # raises ValidationError when the bundle length differs from the point count
-    bundle_power = localization.line_bundle_power(data, normalized)
-    quasi_ample = normalized.pairwise_distinct() and bundle_power != 0
     try:
         certificate = check_condition_c(data, normalized, scale)
         violation = None
@@ -271,17 +277,24 @@ def hattori_verdict(
         certificate = None
         violation = str(exc)
     values = normalized.values
+    # over the descending order, a_i - b ascends; its one j = i term is a 0
+    order = sorted(values, reverse=True)
     mismatches = []
-    for i, point in enumerate(data.points):
-        expected = tuple(
-            sorted(values[i] - values[j] for j in range(len(values)) if j != i)
-        )
+    for point, a in zip(data.points, values):
+        differences = [a - b for b in order]
+        differences.remove(0)
+        expected = tuple(differences)
         if expected != point.weights:
             mismatches.append(PointMismatch(point.label, expected, point.weights))
     # no mismatch means the data is linear_pn(values): its nonzero weights make
     # the a_i distinct, its top power is sum_i a_i^n / prod_{j != i} (a_i - a_j)
     # = 1, and its weight sums (n+1) a_i - sum(a) meet the relation for k0 = n+1
     passes = not mismatches
+    if passes:
+        bundle_power, quasi_ample = Fraction(1), True
+    else:
+        bundle_power = localization.line_bundle_power(data, normalized)
+        quasi_ample = normalized.pairwise_distinct() and bundle_power != 0
     return RigidityVerdict(
         passes=passes,
         normalized_bundle=values,

@@ -180,6 +180,16 @@ def test_model_rejects_repeated_weights(capsys):
     assert "repeats" in err
 
 
+def test_model_hyperplane_needs_three_ambient_weights(capsys):
+    code, out, err = run(capsys, "model", "--weights=1,2", "--hyperplane")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --hyperplane needs at least three ambient weights, since the "
+        "hyperplane of P^1 has dimension 0; got 2\n"
+    )
+
+
 def test_model_writes_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "model", "--weights", "0,1", "--output", str(target))

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fpkit import localization
 from fpkit.core import (
     BundleWeights,
     FixedPointData,
@@ -14,6 +15,7 @@ from fpkit.core import (
 from fpkit.hattori import (
     BundleDerivationError,
     ConditionCError,
+    PointMismatch,
     check_condition_c,
     derive_bundle_weights,
     distinctness_analysis,
@@ -314,13 +316,17 @@ def verdict_inputs(draw):
     data = FixedPointData(n, tuple(points), None if source == "derived" else data.bundle)
     if source != "explicit":
         return data, None
-    if draw(st.booleans()):
-        shift = draw(st.integers(min_value=-5, max_value=5))
-        return data, BundleWeights(tuple(a + shift for a in values))
-    explicit = draw(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=n + 1, max_size=n + 1)
-    )
-    return data, BundleWeights(tuple(explicit))
+    bundle = draw(st.sampled_from(["shifted", "perturbed", "random"]))
+    if bundle == "random":
+        explicit = draw(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=n + 1, max_size=n + 1)
+        )
+        return data, BundleWeights(tuple(explicit))
+    shift = draw(st.integers(min_value=-5, max_value=5))
+    shifted = [a + shift for a in values]
+    if bundle == "perturbed":
+        shifted[draw(st.integers(min_value=0, max_value=n))] += draw(weight)
+    return data, BundleWeights(tuple(shifted))
 
 
 @given(verdict_inputs())
@@ -337,6 +343,38 @@ def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(inputs):
         and not verdict.mismatches
     )
     assert verdict.passes == reference
+
+
+def reference_mismatches(data, values):
+    # each point's expected weights sorted afresh, the j = i term left out
+    mismatches = []
+    for i, point in enumerate(data.points):
+        expected = tuple(
+            sorted(values[i] - values[j] for j in range(len(values)) if j != i)
+        )
+        if expected != point.weights:
+            mismatches.append(PointMismatch(point.label, expected, point.weights))
+    return tuple(mismatches)
+
+
+@given(verdict_inputs())
+@example((linear_pn((0, 1, 3)), BundleWeights((0, 0, 1))))
+@example((linear_pn((0, 1, 3)), BundleWeights((4, 4, 4))))
+def test_verdict_is_held_to_the_localization_kernel(inputs):
+    # a passing verdict reads its top power off the Lagrange identity; the
+    # kernel and the old per-point sort are the references for every verdict
+    data, bundle = inputs
+    try:
+        verdict = hattori_verdict(data, bundle)
+    except BundleDerivationError:
+        return
+    if bundle is None:
+        bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
+    normalized = bundle.normalized()
+    power = localization.line_bundle_power(data, normalized)
+    assert verdict.bundle_power == power
+    assert verdict.quasi_ample == (normalized.pairwise_distinct() and power != 0)
+    assert verdict.mismatches == reference_mismatches(data, normalized.values)
 
 
 def test_survivors_with_distinct_derived_weights_have_nonzero_top_power():

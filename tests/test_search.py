@@ -203,7 +203,9 @@ def test_every_survivor_passes_residue_constraints(bound):
         assert residue_constraints_hold(data)
 
 
-def test_rigidity_experiment_evaluates_one_bundle_power_per_verdict(monkeypatch):
+def test_rigidity_experiment_evaluates_one_bundle_power_per_failing_verdict(monkeypatch):
+    # a passing verdict takes its top power from the Lagrange identity; every
+    # classified verdict that fails runs the localization kernel exactly once
     import fpkit.localization
 
     calls = []
@@ -214,15 +216,22 @@ def test_rigidity_experiment_evaluates_one_bundle_power_per_verdict(monkeypatch)
         return original(data, bundle)
 
     monkeypatch.setattr(fpkit.localization, "line_bundle_power", counted)
-    experiment = rigidity_experiment(SearchSpec(n=2, bound=4))
-    underivable = [
-        data
+    experiment = rigidity_experiment(SearchSpec(n=2, bound=8))
+    underivable = {
+        id(data)
         for data, reason in experiment.hypothesis_failures
         if reason.startswith("bundle derivation failed")
+    }
+    matched = {id(data) for data in experiment.matches}
+    failing = [
+        data
+        for data in experiment.survivors
+        if id(data) not in underivable and id(data) not in matched
     ]
-    classified = experiment.survivor_count - len(underivable)
-    assert classified > 0
-    assert len(calls) == classified
+    assert len(experiment.survivors) - len(underivable) == 33
+    assert len(matched) == 28
+    assert len(failing) == 5
+    assert [id(data) for data in calls] == [id(data) for data in failing]
 
 
 # -- a test-local brute force as the reference enumeration --------------------
