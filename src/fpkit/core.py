@@ -55,8 +55,9 @@ class BundleWeights:
 
     def __init__(self, values: Iterable[int]):
         object.__setattr__(self, "values", tuple(values))
-        for v in self.values:
-            _check_int(v, "bundle weight")
+        if not {*map(type, self.values)} <= {int}:
+            for v in self.values:  # in input order, so the first bad one is named
+                _check_int(v, "bundle weight")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -75,6 +76,17 @@ class BundleWeights:
 
     def pairwise_distinct(self) -> bool:
         return len(set(self.values)) == len(self.values)
+
+
+def _check_bundle(bundle: Any, count: int | None = None, kind: str = "BundleWeights") -> None:
+    """The one bundle-argument check: ``bundle`` is a :class:`BundleWeights`
+    and, when ``count`` is given, holds one weight per point."""
+    if not isinstance(bundle, BundleWeights):
+        raise ValidationError(f"bundle must be {kind}, got {bundle!r}")
+    if count is not None and len(bundle) != count:
+        raise ValidationError(
+            f"bundle weight count {len(bundle)} does not match point count {count}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,8 +163,7 @@ class FixedPointData:
                 raise ValidationError(f'duplicate point label "{point.label}"')
             labels.add(point.label)
         if self.bundle is not None:
-            if not isinstance(self.bundle, BundleWeights):
-                raise ValidationError(f"bundle must be BundleWeights or None, got {self.bundle!r}")
+            _check_bundle(self.bundle, kind="BundleWeights or None")
             if len(self.bundle) != len(self.points):
                 raise ValidationError(
                     f"bundle weight sequence length {len(self.bundle)} does not match "

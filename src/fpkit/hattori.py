@@ -19,7 +19,8 @@ import dataclasses
 from fractions import Fraction
 
 from . import localization
-from .core import BundleWeights, FixedPointData, ValidationError, _check_int
+from .core import BundleWeights, FixedPointData, ValidationError, _check_bundle, _check_int
+from .models import _pairwise_differences
 
 
 class _PointError(ValueError):
@@ -124,11 +125,7 @@ def check_condition_c(
     relation is reported in the raised error.
     """
     _check_int(k0, "k0", 0)
-    if len(bundle) != data.point_count:
-        raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count "
-            f"{data.point_count}"
-        )
+    _check_bundle(bundle, data.point_count)
     offset = data.points[0].weight_sum - k0 * bundle.values[0]
     for index, (point, a) in enumerate(zip(data.points, bundle.values)):
         if point.weight_sum != k0 * a + offset:
@@ -265,10 +262,7 @@ def hattori_verdict(
         bundle = data.bundle
     if bundle is None:
         bundle = derive_bundle_weights(data)
-    if len(bundle) != scale:
-        raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count {scale}"
-        )
+    _check_bundle(bundle, scale, "BundleWeights or None")
     normalized = bundle.normalized()
     try:
         certificate = check_condition_c(data, normalized, scale)
@@ -277,15 +271,11 @@ def hattori_verdict(
         certificate = None
         violation = str(exc)
     values = normalized.values
-    # over the descending order, a_i - b ascends; its one j = i term is a 0
-    order = sorted(values, reverse=True)
-    mismatches = []
-    for point, a in zip(data.points, values):
-        differences = [a - b for b in order]
-        differences.remove(0)
-        expected = tuple(differences)
-        if expected != point.weights:
-            mismatches.append(PointMismatch(point.label, expected, point.weights))
+    mismatches = [
+        PointMismatch(point.label, expected, point.weights)
+        for point, expected in zip(data.points, _pairwise_differences(values))
+        if expected != point.weights
+    ]
     # no mismatch means the data is linear_pn(values): its nonzero weights make
     # the a_i distinct, its top power is sum_i a_i^n / prod_{j != i} (a_i - a_j)
     # = 1, and its weight sums (n+1) a_i - sum(a) meet the relation for k0 = n+1

@@ -8,9 +8,9 @@ the running-product table behind :func:`residue_sum`; every other sum goes
 through :func:`localize`.  A Chern monomial reads the elementary symmetric
 functions of each point's weights, up to its largest index, off one packed
 integer product with one big-integer step per weight.  The genus polynomial
-of the standard projective model is additionally computed a second,
-independent way, as an integer residue sum from its characteristic power
-series, so the two routes can be checked against each other.
+of the standard projective model is also computed independently from its
+characteristic power series, as a residue sum evaluated as one packed
+integer and read with the same digit reader, to check the two routes.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
-from .core import BundleWeights, FixedPointData, ValidationError, _check_int
+from .core import BundleWeights, FixedPointData, ValidationError, betti_numbers
+from .core import _check_bundle, _check_int
 from .laurent import LaurentPoly
 
 
@@ -79,6 +80,21 @@ def c1_power(data: FixedPointData) -> Fraction:
     return residue_sum(data, data.n)
 
 
+def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
+    """The ``count`` lowest balanced base-2^bits digits of ``acc``, lowest
+    first, each in [-2^(bits - 1), 2^(bits - 1))."""
+    digit_mask, half = (1 << bits) - 1, 1 << bits - 1
+    digits = []
+    for _ in range(count):
+        digit = acc & digit_mask
+        acc >>= bits
+        if digit >= half:
+            digit -= 1 << bits
+            acc += 1
+        digits.append(digit)
+    return digits
+
+
 def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
     """Coefficients of prod (1 + v z) up to z^top; entry j is sigma_j.
 
@@ -98,16 +114,7 @@ def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
     acc = 1
     for v in values:
         acc = (acc + (acc * v << bits)) & mask
-    digit_mask, half = (1 << bits) - 1, 1 << bits - 1
-    sigma = []
-    for _ in range(top + 1):
-        digit = acc & digit_mask
-        acc >>= bits
-        if digit >= half:
-            digit -= 1 << bits
-            acc += 1
-        sigma.append(digit)
-    return sigma
+    return _balanced_digits(acc, bits, top + 1)
 
 
 def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
@@ -137,20 +144,14 @@ def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
     The caller's normalization of the bundle weights is used as-is; only
     shift-invariant downstream conclusions are geometrically meaningful.
     """
-    if len(bundle) != data.point_count:
-        raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count "
-            f"{data.point_count}"
-        )
+    _check_bundle(bundle, data.point_count)
     return localize(data, [[a**data.n for a in bundle.values]])[0]
 
 
 def chi_y_from_data(data: FixedPointData) -> LaurentPoly:
-    """The genus polynomial from fixed-point data: sum of (-y)^{d_i} with
-    d_i the number of negative weights at point i."""
-    return LaurentPoly(
-        (p.negative_count, (-1) ** p.negative_count) for p in data.points
-    )
+    """The genus polynomial from fixed-point data: the sum over d of
+    (-1)^d b_{2d} y^d, where b_{2d} counts the points with d negative weights."""
+    return LaurentPoly((d, (-1) ** d * b) for d, b in enumerate(betti_numbers(data)))
 
 
 # -- residue route for the standard projective model -------------------------
@@ -169,13 +170,27 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
     C(n+1, k) (-y)^k (1 + y)^{n+1-k}.  Every term keeps a factor 1 + y, so
     the genus is the integer polynomial
     sum over k <= n of C(n+1, k) (-y)^k (1 + y)^{n-k}.
+
+    That sum is evaluated as one integer at y = 2^bits by homogeneous
+    Horner over c_k = C(n+1, k): after step j the value is the sum over
+    k >= n - j of c_k (-y)^(k-n+j) (1 + y)^(n-k), so each step multiplies
+    by -y (a shift) and adds c_(n-j) times the running power (1 + y)^j (a
+    shift and an add).  The genus coefficients are the n + 1 balanced
+    base-2^bits digits of the result, exact when each has absolute value
+    below 2^(bits - 1).  The coefficient of y^m is the sum over k of
+    c_k (-1)^k C(n-k, m-k), so its absolute value is at most the sum over
+    k <= n of c_k 2^(n-k), which is (3^(n+1) - 1) / 2: the full binomial
+    sum 3^(n+1) / 2 less its k = n+1 term 1/2.  That is below 2^(2n+1),
+    so bits = 2n + 2 is enough.
     """
     _check_int(n, "dimension", 1)
-    coefficients = [0] * (n + 1)
-    for k in range(n + 1):
-        for j in range(n - k + 1):
-            coefficients[k + j] += (-1) ** k * comb(n + 1, k) * comb(n - k, j)
-    return LaurentPoly(enumerate(coefficients))
+    bits = 2 * n + 2
+    acc, binomial, power = n + 1, n + 1, 1  # c_n, c_n, (1 + y)^0
+    for j in range(1, n + 1):
+        binomial = binomial * (n - j + 1) // (j + 1)  # c_(n-j)
+        power += power << bits
+        acc = binomial * power - (acc << bits)
+    return LaurentPoly(enumerate(_balanced_digits(acc, bits, n + 1)))
 
 
 def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
@@ -185,6 +200,8 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
     polynomial came from fixed-point data.
     """
     _check_int(n, "dimension", 0)
+    if not isinstance(chi, LaurentPoly):
+        raise ValidationError(f"genus input must be a LaurentPoly, got {chi!r}")
     if not chi.is_zero():
         if not chi.is_polynomial():
             raise ValidationError("genus input must be a polynomial (no negative powers)")
@@ -208,6 +225,9 @@ def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:
     inconsistent input data.
     """
     _check_int(n, "dimension", 1)
+    _check_int(euler, "Euler characteristic")
+    if not isinstance(k2, (int, Fraction)) or isinstance(k2, bool):
+        raise ValidationError(f"k2 must be an integer or a Fraction, got {k2!r}")
     value = 12 * Fraction(k2) - Fraction(n * (3 * n - 5), 2) * euler
     if value.denominator != 1:
         raise ValidationError(f"c1*c(n-1) came out non-integral ({value}); inconsistent input")

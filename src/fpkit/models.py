@@ -6,19 +6,30 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from .core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, _check_int
+
+
+def _pairwise_differences(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Row i is a_i - a_j over every j != i, ascending: the values are sorted
+    once, descending, and each row drops its one j = i zero (a repeated
+    value keeps its other zeros)."""
+    order = sorted(values, reverse=True)
+    for a in values:
+        row = [a - b for b in order]
+        row.remove(0)
+        yield tuple(row)
 
 
 def linear_pn(values: Sequence[int]) -> FixedPointData:
     """Fixed-point data of the diagonal circle action on projective space.
 
-    Given n+1 pairwise distinct integers, point i gets the weight multiset
-    of pairwise differences from entry i to every other entry, and the
-    entries themselves are attached as the bundle weights of the induced
-    lift on the hyperplane bundle.  Dropping the last entry gives the data
-    of the invariant hyperplane, whose fixed points are the first n ones.
+    Given n+1 pairwise distinct integers, point i gets the weights of
+    :func:`_pairwise_differences`, entry i minus every other entry, and the
+    entries are attached as the bundle weights of the induced lift on the
+    hyperplane bundle.  Dropping the last entry gives the data of the
+    invariant hyperplane, whose fixed points are the first n ones.
 
     >>> data = linear_pn((0, 1, 3))
     >>> [p.weights for p in data.points]
@@ -32,20 +43,18 @@ def linear_pn(values: Sequence[int]) -> FixedPointData:
             "dimension must be >= 1: the linear model needs at least two weights, "
             f"got {len(entries)}"
         )
-    seen = set()
-    for value in entries:
-        _check_int(value, "linear model weight")
-        if value in seen:
-            raise ValidationError(
-                f"linear model weights must be pairwise distinct, {value} repeats"
-            )
-        seen.add(value)
+    if not ({*map(type, entries)} <= {int} and len(set(entries)) == len(entries)):
+        seen = set()  # in input order, so the first bad or repeated value is named
+        for value in entries:
+            _check_int(value, "linear model weight")
+            if value in seen:
+                raise ValidationError(
+                    f"linear model weights must be pairwise distinct, {value} repeats"
+                )
+            seen.add(value)
     points = tuple(
-        FixedPointDatum(
-            f"P{i + 1}",
-            tuple(a - b for j, b in enumerate(entries) if j != i),
-        )
-        for i, a in enumerate(entries)
+        FixedPointDatum(f"P{i}", weights)
+        for i, weights in enumerate(_pairwise_differences(entries), 1)
     )
     return FixedPointData(len(entries) - 1, points, BundleWeights(entries))
 

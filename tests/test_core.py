@@ -249,6 +249,17 @@ def test_bundle_weight_operations():
     assert empty.normalized() is empty
 
 
+class Weight(int):
+    pass
+
+
+def test_bundle_weights_name_the_first_bad_value():
+    for values, shown in (([0, True, 1.5], "True"), ([0, 1.5, True], r"1\.5"), (["1"], "'1'")):
+        with pytest.raises(ValidationError, match=f"^bundle weight must be an integer, got {shown}$"):
+            BundleWeights(values)
+    assert BundleWeights([0, Weight(2)]).values == (0, 2)
+
+
 def test_tangent_character_counts_weights():
     datum = FixedPointDatum("P1", (-3, -1, -1))
     assert datum.tangent_character().fmt("t") == "t^-3 + 2t^-1"

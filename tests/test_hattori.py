@@ -265,6 +265,16 @@ def test_hattori_verdict_checks_bundle_length():
         hattori_verdict(linear_pn((0, 1, 3)), BundleWeights((0, 1)))
 
 
+def test_bundle_arguments_must_be_bundle_weights():
+    data = linear_pn((0, 1, 3))
+    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights or None, got \[0, 1, 3\]$"):
+        hattori_verdict(data, [0, 1, 3])
+    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \[0, 1, 3\]$"):
+        check_condition_c(data, [0, 1, 3], 3)
+    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \(0, 1, 3\)$"):
+        localization.line_bundle_power(data, (0, 1, 3))
+
+
 def test_hattori_verdict_propagates_derivation_failure():
     data = FixedPointData(
         1, (FixedPointDatum("P1", (1,)), FixedPointDatum("P2", (2,)))

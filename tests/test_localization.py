@@ -13,6 +13,7 @@ from fpkit import cli
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
 from fpkit.hattori import distinctness_analysis
 from fpkit.laurent import LaurentPoly
+from fpkit import localization
 from fpkit.localization import (
     _elementary_symmetric,
     c1cn1_from_k2,
@@ -253,6 +254,28 @@ def test_c1cn1_reference_values():
         c1cn1_from_k2(1, 3, 0)
 
 
+@pytest.mark.parametrize("k2, shown", [("1/2", "'1/2'"), (True, "True"), (0.5, r"0\.5"), (None, "None")])
+def test_c1cn1_takes_k2_as_an_integer_or_fraction(k2, shown):
+    with pytest.raises(ValidationError, match=f"^k2 must be an integer or a Fraction, got {shown}$"):
+        c1cn1_from_k2(k2, 3, 2)
+
+
+@pytest.mark.parametrize("euler, shown", [(True, "True"), (3.0, r"3\.0"), ("3", "'3'")])
+def test_c1cn1_takes_euler_as_an_integer(euler, shown):
+    with pytest.raises(ValidationError, match=f"^Euler characteristic must be an integer, got {shown}$"):
+        c1cn1_from_k2(1, euler, 2)
+
+
+def test_k_coefficients_rejects_a_non_polynomial_argument():
+    with pytest.raises(ValidationError, match=r"^genus input must be a LaurentPoly, got \[1, 2\]$"):
+        k_coefficients([1, 2], 2)
+
+
+def test_line_bundle_power_rejects_a_plain_list():
+    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \[0, 1, 3\]$"):
+        line_bundle_power(linear_pn((0, 1, 3)), [0, 1, 3])
+
+
 @st.composite
 def arbitrary_data(draw):
     n = draw(st.integers(min_value=1, max_value=4))
@@ -289,6 +312,63 @@ def test_chi_y_duality_when_profile_symmetric(data):
 @given(st.integers(min_value=1, max_value=6))
 def test_hrr_agrees_with_fixed_point_route(n):
     assert chi_y_hrr_projective(n) == chi_y_from_data(linear_pn(tuple(range(n + 1))))
+
+
+def per_point_genus(data):
+    return LaurentPoly((p.negative_count, (-1) ** p.negative_count) for p in data.points)
+
+
+@given(arbitrary_data())
+def test_chi_y_from_data_is_the_per_point_sum(data):
+    assert chi_y_from_data(data) == per_point_genus(data)
+
+
+def test_chi_y_from_data_off_the_projective_profile():
+    single = FixedPointData(2, (FixedPointDatum("P", (-1, -2)),))
+    assert chi_y_from_data(single) == per_point_genus(single) == LaurentPoly({2: 1})
+    repeated = FixedPointData(3, tuple(
+        FixedPointDatum(f"P{i}", weights)
+        for i, weights in enumerate([(-1, -2, 3), (-4, -1, 5), (-3, -1, 2), (-1, 1, 2)])
+    ))
+    assert chi_y_from_data(repeated) == per_point_genus(repeated)
+    assert chi_y_from_data(repeated) == LaurentPoly({1: -1, 2: 3})
+
+
+# -- the packed HRR route against its residue formula as a double sum ----------
+
+def hrr_double_sum(n):
+    # sum over k <= n of C(n+1, k) (-y)^k (1 + y)^(n-k), term by term
+    coefficients = [0] * (n + 1)
+    for k in range(n + 1):
+        for j in range(n - k + 1):
+            coefficients[k + j] += (-1) ** k * math.comb(n + 1, k) * math.comb(n - k, j)
+    return LaurentPoly(enumerate(coefficients))
+
+
+@pytest.mark.parametrize("n", [*range(1, 61), 200])
+def test_hrr_matches_the_residue_double_sum(n):
+    assert chi_y_hrr_projective(n) == hrr_double_sum(n)
+
+
+def test_hrr_reads_one_packed_integer_with_room_for_every_coefficient(monkeypatch):
+    reads = []
+    reader = localization._balanced_digits
+
+    def spy(acc, bits, count):
+        reads.append((bits, count))
+        return reader(acc, bits, count)
+
+    monkeypatch.setattr(localization, "_balanced_digits", spy)
+    for n in range(1, 61):
+        reads.clear()
+        chi_y_hrr_projective(n)
+        ((bits, count),) = reads
+        assert count == n + 1
+        # the a priori bound on a coefficient of the residue formula, before
+        # its cancellation is known: sum over k <= n of C(n+1, k) 2^(n-k)
+        bound = sum(math.comb(n + 1, k) * 2 ** (n - k) for k in range(n + 1))
+        assert bound == (3 ** (n + 1) - 1) // 2
+        assert bound < 2 ** (bits - 1)
 
 
 # -- the kernel against a plain sum of fractions ------------------------------

@@ -47,6 +47,45 @@ def test_linear_pn_names_the_bad_input_weight(values, shown):
         linear_pn(values)
 
 
+class Weight(int):
+    pass
+
+
+def old_linear_pn_weights(entries):
+    # the pairwise-difference definition, one point at a time in input order
+    return [
+        tuple(sorted(a - b for j, b in enumerate(entries) if j != i))
+        for i, a in enumerate(entries)
+    ]
+
+
+def test_linear_pn_matches_the_pairwise_difference_definition():
+    rng = random.Random(16)
+    for _ in range(200):
+        entries = rng.sample(range(-60, 61), rng.randint(2, 12))
+        if rng.random() < 0.3:
+            i = rng.randrange(len(entries))
+            entries[i] = Weight(entries[i])
+        data = linear_pn(entries)
+        assert [p.weights for p in data.points] == old_linear_pn_weights(entries)
+        assert data.labels == tuple(f"P{i + 1}" for i in range(len(entries)))
+        assert data.bundle.values == tuple(entries)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, 1, "x"], "^linear model weights must be pairwise distinct, 1 repeats$"),
+        (["x", 1, 1], "^linear model weight must be an integer, got 'x'$"),
+        ([1, True], "^linear model weight must be an integer, got True$"),
+        ([2, Weight(2)], "^linear model weights must be pairwise distinct, 2 repeats$"),
+    ],
+)
+def test_linear_pn_reports_the_first_problem_in_input_order(values, message):
+    with pytest.raises(ValidationError, match=message):
+        linear_pn(values)
+
+
 def test_hyperplane_model_matches_linear_recipe():
     assert [p.weights for p in linear_pn((0, 1)).points] == [(-1,), (1,)]
 
