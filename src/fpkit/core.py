@@ -192,9 +192,6 @@ class FixedPointData:
             self.__dict__["_common_denominator"] = memo
         return memo
 
-    def with_bundle(self, bundle: BundleWeights | None) -> FixedPointData:
-        return FixedPointData(self.n, self.points, bundle)
-
 
 def validate(raw: Mapping[str, Any]) -> FixedPointData:
     """Parse and validate a raw interchange document.
@@ -246,10 +243,27 @@ def validate(raw: Mapping[str, Any]) -> FixedPointData:
     return FixedPointData(n, tuple(points), bundle)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """Build a decoded JSON object, rejecting one that repeats a key (which
+    plain decoding would settle silently by keeping the last value)."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {_string(key)}")
+            seen.add(key)
+    return document
+
+
+# the one decoder of interchange documents, shared by loads and iter_documents
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def loads(text: str) -> FixedPointData:
     """Validate a JSON interchange document given as a string."""
     try:
-        raw = json.loads(text)
+        raw = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
         raise ValidationError(f"malformed JSON document: {exc}") from exc
     return validate(raw)
@@ -324,7 +338,6 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
     Survivor streams are emitted as canonical documents one after another;
     this walks the stream with an incremental decoder.
     """
-    decoder = json.JSONDecoder()
     position = 0
     length = len(text)
     while position < length:
@@ -333,7 +346,7 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
         if position >= length:
             return
         try:
-            document, position = decoder.raw_decode(text, position)
+            document, position = _DECODER.raw_decode(text, position)
         except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
             raise ValidationError(f"malformed JSON document: {exc}") from exc
         yield document

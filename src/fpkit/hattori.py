@@ -138,13 +138,14 @@ def check_condition_c(
     return ConditionCCertificate(k0, offset)
 
 
-def derive_bundle_weights(data: FixedPointData) -> BundleWeights:
-    """Invert the affine relation with multiplier n+1 on data with n+1
-    points, normalizing the first bundle weight to 0.
+def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> BundleWeights:
+    """Invert the affine relation weight_sum_i = k0 * a_i + offset on data
+    with n+1 points, normalizing the first bundle weight to 0.
 
-    Every weight-sum difference from the first point must be divisible by
-    n+1; the certificate check_condition_c(data, result, n+1) then succeeds
-    by construction.
+    ``k0`` defaults to n+1.  Every weight-sum difference from the first point
+    must be divisible by k0; the certificate check_condition_c(data, result,
+    k0) then succeeds by construction.  For k0 = 0 the relation is solvable
+    exactly when all weight sums agree, with the witness a_i = 0.
     """
     scale = data.n + 1
     if data.point_count != scale:
@@ -152,15 +153,16 @@ def derive_bundle_weights(data: FixedPointData) -> BundleWeights:
             f"bundle derivation needs exactly n + 1 = {scale} points, got "
             f"{data.point_count}"
         )
+    k0 = scale if k0 is None else _check_int(k0, "k0", 0)
     base = data.points[0].weight_sum
     values = []
     for index, point in enumerate(data.points):
-        quotient, remainder = divmod(point.weight_sum - base, scale)
+        difference = point.weight_sum - base
+        quotient, remainder = divmod(difference, k0) if k0 else (0, difference)
         if remainder:
             raise BundleDerivationError(
-                f"bundle derivation failed: weight-sum difference "
-                f"{point.weight_sum - base} at point "
-                f"{point.label} is not divisible by {scale}",
+                f"bundle derivation failed: weight-sum difference {difference} at "
+                f"point {point.label} is not divisible by {k0}",
                 index=index,
                 label=point.label,
             )

@@ -40,7 +40,12 @@ from .core import (
     _check_int,
     projective_profile,
 )
-from .hattori import BundleDerivationError, RigidityVerdict, hattori_verdict
+from .hattori import (
+    BundleDerivationError,
+    RigidityVerdict,
+    derive_bundle_weights,
+    hattori_verdict,
+)
 from .localization import residue_constraints_hold
 # Unused: bench/smoke.py checks that the tracer patches this name; drop it once
 # the benchmark traces localization.localize (ROADMAP item 1).
@@ -57,9 +62,12 @@ class SearchSpec:
 
     ``k0``, when set, keeps only survivors whose weight sums satisfy the
     affine relation weight_sum_i = k0 * a_i + offset for some integers a_i;
-    ``None`` means no such filter.  A rational k0 = p/q in lowest terms keeps
-    exactly what k0 = p keeps.  ``max_leaves`` bounds the raw number of
-    point-multiset combinations before pruning.
+    ``None`` means no such filter.  For k0 = p/q in lowest terms the filter
+    is ``derive_bundle_weights(data, p)``: as gcd(p, q) = 1, the quotient
+    (s_i - s_0) / (p/q) = q (s_i - s_0) / p is an integer exactly when p
+    divides s_i - s_0, so k0 = p/q keeps exactly what k0 = p keeps.
+    ``max_leaves`` bounds the raw number of point-multiset combinations
+    before pruning.
     """
 
     n: int
@@ -124,23 +132,15 @@ def leaf_count(spec: SearchSpec) -> int:
     return math.comb(pool_size + spec.point_count - 1, spec.point_count)
 
 
-def _satisfies_relation(sums: list[int], k0: int | Fraction) -> bool:
-    # an integer solution of sum_i = k0 * a_i + offset exists iff all
-    # pairwise sum differences are integer multiples of k0; % is exact on
-    # Fractions too
-    if k0 == 0:
-        return len(set(sums)) == 1
-    return all((s - sums[0]) % k0 == 0 for s in sums)
-
-
 def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
     if not residue_constraints_hold(data):
         return False
     if spec.require_projective_profile and not projective_profile(data):
         return False
     if spec.k0 is not None:
-        sums = [p.weight_sum for p in data.points]
-        if not _satisfies_relation(sums, spec.k0):
+        try:
+            derive_bundle_weights(data, spec.k0.numerator)
+        except BundleDerivationError:
             return False
     return True
 

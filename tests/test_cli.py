@@ -632,7 +632,7 @@ COUNTEREXAMPLE_STDOUT = """\
 
 
 def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
-    data = linear_pn((0, 1, 3)).with_bundle(BundleWeights((0, 2, 3)))
+    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3)))
     experiment = RigidityExperiment(
         survivors=(data,),
         matches=(),
@@ -649,7 +649,7 @@ def test_output_dataclasses_hold_their_fields_in_declaration_order():
     # the CLI writes vars() of these as documents, so vars() must list
     # exactly the dataclass fields, in order
     data = linear_pn((0, 1, 3))
-    verdict = hattori_verdict(data.with_bundle(BundleWeights((0, 2, 3))))
+    verdict = hattori_verdict(dataclasses.replace(data, bundle=BundleWeights((0, 2, 3))))
     assert verdict.mismatches
     # P1's weights keep their sum, so the affine relation still holds
     skewed = FixedPointData(2, (FixedPointDatum("P1", (-5, 1)), *data.points[1:]))
@@ -671,6 +671,40 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, command):
     code, out, err = run(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed JSON document:")
+
+
+# CP^1, and CP^1 with one key written twice at the top level or in a point
+# entry
+CP1 = ('{"n": 1, "fixed_points": [{"label": "P1", "weights": [-1]}, '
+       '{"label": "P2", "weights": [1]}]}')
+REPEATED_KEY_DOCUMENTS = {
+    "top-level": (CP1.replace('"n": 1,', '"n": 1, "n": 1,'), '"n"'),
+    "point": (CP1.replace('"weights": [1]}', '"weights": [1], "label": "P2"}'), '"label"'),
+}
+
+
+@pytest.mark.parametrize("where", sorted(REPEATED_KEY_DOCUMENTS))
+@pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
+def test_repeated_key_is_invalid_input(capsys, tmp_path, model_file, command, where):
+    repeated, key = REPEATED_KEY_DOCUMENTS[where]
+    before = [model_file] if command == "pair" else []
+    path = tmp_path / "doc.json"
+    path.write_text(CP1)
+    code, _, err = run(capsys, command, *before, str(path))
+    assert code != 2, err
+    path.write_text(repeated)
+    code, out, err = run(capsys, command, *before, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed JSON document: duplicate key {key}\n"
+
+
+def test_repeated_key_in_a_later_stream_document_is_invalid_input(capsys, tmp_path):
+    repeated, _ = REPEATED_KEY_DOCUMENTS["point"]
+    path = tmp_path / "stream.json"
+    path.write_text(CP1 + "\n" + repeated + "\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: malformed JSON document: duplicate key "label"\n'
 
 
 POINT_A = {"label": "A", "weights": [1]}

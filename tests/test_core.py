@@ -163,6 +163,22 @@ def test_loads_rejects_malformed_json():
         list(iter_documents(text))
 
 
+def test_a_repeated_key_is_malformed_json():
+    # the last value would win silently; the repeated key is named instead,
+    # also when it is a nested object's and when its values agree
+    for text, key in (
+        ('{"n": 1, "n": 2, "fixed_points": [{"label": "A", "weights": [1]}]}', '"n"'),
+        ('{"n": 1, "fixed_points": [{"label": "A", "weights": [1], "weights": [1]}]}',
+         '"weights"'),
+        ('{"n": 1, "fixed_points": [], "\\u00e9": 1, "\\u00e9": 1}', '"\\u00e9"'),
+    ):
+        message = re.escape(f"malformed JSON document: duplicate key {key}")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            loads(text)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            list(iter_documents(serialize(linear_pn((0, 1))) + text))
+
+
 def test_serialize_is_canonical_and_newline_terminated():
     data = linear_pn((0, 1))
     text = serialize(data)

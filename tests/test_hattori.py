@@ -14,6 +14,7 @@ from fpkit.core import (
 )
 from fpkit.hattori import (
     BundleDerivationError,
+    ConditionCCertificate,
     ConditionCError,
     PointMismatch,
     check_condition_c,
@@ -101,6 +102,27 @@ def test_derive_bundle_weights_requires_divisibility():
     with pytest.raises(BundleDerivationError) as excinfo:
         derive_bundle_weights(data)
     assert excinfo.value.label == "P2"
+
+
+def test_derive_bundle_weights_with_an_explicit_multiplier():
+    data = linear_pn((0, 1, 3))  # weight sums -4, -1, 5
+    assert derive_bundle_weights(data, 3) == derive_bundle_weights(data)
+    assert derive_bundle_weights(data, 1).values == (0, 3, 9)
+    certificate = check_condition_c(data, derive_bundle_weights(data, 1), 1)
+    assert certificate == ConditionCCertificate(1, -4)
+    with pytest.raises(BundleDerivationError, match="3 at point P2 is not divisible by 2$"):
+        derive_bundle_weights(data, 2)
+    # k0 = 0: solvable exactly when every weight sum agrees, with a_i = 0
+    level = FixedPointData(
+        2, (FixedPointDatum("P1", (-1, 2)), FixedPointDatum("P2", (3, -2)),
+            FixedPointDatum("P3", (4, -3)))
+    )
+    assert derive_bundle_weights(level, 0).values == (0, 0, 0)
+    with pytest.raises(BundleDerivationError, match="at point P2 is not divisible by 0$"):
+        derive_bundle_weights(data, 0)
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValidationError, match="k0 must be a nonnegative integer"):
+            derive_bundle_weights(data, bad)
 
 
 def test_derive_bundle_weights_requires_matching_point_count():

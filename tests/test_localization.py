@@ -508,7 +508,7 @@ def test_each_data_object_computes_its_own_denominator(monkeypatch):
     assert data.common_denominator is first
     assert reads[0] == 4
     others = (
-        data.with_bundle(BundleWeights((0, 1, 3, 7))),
+        dataclasses.replace(data, bundle=BundleWeights((0, 1, 3, 7))),
         dataclasses.replace(data),
         FixedPointData(data.n, data.points),
     )

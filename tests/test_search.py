@@ -11,13 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpkit.cli import main
-from fpkit.core import ValidationError, iter_documents, serialize, validate
+from fpkit.core import (
+    FixedPointData,
+    FixedPointDatum,
+    ValidationError,
+    iter_documents,
+    serialize,
+    validate,
+)
 from fpkit.localization import residue_constraints_hold
 from fpkit.models import linear_pn
 from fpkit.search import (
     RigidityExperiment,
     SearchSpaceError,
     SearchSpec,
+    _accept,
     enumerate_survivors,
     leaf_count,
     rigidity_experiment,
@@ -232,6 +240,63 @@ def test_rigidity_experiment_evaluates_one_bundle_power_per_failing_verdict(monk
     assert len(matched) == 28
     assert len(failing) == 5
     assert [id(data) for data in calls] == [id(data) for data in failing]
+
+
+def old_satisfies_relation(sums, k0):
+    # the search's own relation test before its filter called
+    # derive_bundle_weights, kept as the reference
+    if k0 == 0:
+        return len(set(sums)) == 1
+    return all((s - sums[0]) % k0 == 0 for s in sums)
+
+
+@st.composite
+def weight_sums(draw):
+    # base + step * a_i, some nudged off that lattice, so both outcomes occur
+    base, step = draw(st.integers(-20, 20)), draw(st.integers(0, 7))
+    offsets = st.tuples(st.integers(-3, 3), st.sampled_from((0, 0, 0, 1, 2)))
+    return [base + step * a + nudge
+            for a, nudge in draw(st.lists(offsets, min_size=3, max_size=6))]
+
+
+MULTIPLIERS = st.one_of(
+    st.integers(0, 7), st.builds(Fraction, st.integers(0, 7), st.integers(1, 7))
+)
+
+
+@given(weight_sums(), MULTIPLIERS)
+def test_condition_c_filter_matches_the_old_relation_test(sums, k0):
+    # n >= 2 weights per point: sum s is (s - (n-1) w, w, ..., w), nonzero
+    # with w = 1 unless s = n - 1, where w = 2 gives -(n-1)
+    n = len(sums) - 1
+    points = []
+    for index, s in enumerate(sums):
+        w = 2 if s == n - 1 else 1
+        points.append(FixedPointDatum(f"P{index}", (s - (n - 1) * w,) + (w,) * (n - 1)))
+    data = FixedPointData(n, points)
+    assert [p.weight_sum for p in data.points] == sums
+    with pytest.MonkeyPatch.context() as patch:
+        # the filter alone: such data rarely meets the residue constraints
+        patch.setattr("fpkit.search.residue_constraints_hold", lambda data: True)
+        accepted = _accept(SearchSpec(n=n, bound=1, k0=k0), data)
+    assert accepted == old_satisfies_relation(sums, k0)
+
+
+def test_cli_fractional_multiplier_writes_its_numerators_stream(tmp_path, capsys):
+    streams = []
+    for k0 in ("3/2", "3"):
+        output = tmp_path / "survivors.json"
+        argv = ["search", "--n", "2", "--bound", "3", "--require-condition-c",
+                "--k0", k0, "--output", str(output)]
+        assert main(argv) == 0
+        streams.append(output.read_bytes())
+    assert streams[0] and streams[0] == streams[1]
+    capsys.readouterr()
+    # n = 1 survivors have weight sums -w and w, never equal
+    assert main(["search", "--n", "1", "--bound", "2", "--require-condition-c",
+                 "--k0", "0"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert (document["k0"], document["survivor_count"]) == ("0", 0)
 
 
 # -- a test-local brute force as the reference enumeration --------------------
