@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
+import operator
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
@@ -32,14 +33,15 @@ _KIND = {None: "an", 0: "a nonnegative", 1: "a positive"}
 
 def _check_int(value: Any, what: str, minimum: int | None = None) -> int:
     """The one integer check: ``value`` is an int, not a bool (an int
-    subclass), and at least ``minimum`` (None, 0 or 1) when that is given."""
+    subclass), and at least ``minimum`` (None, 0 or 1) when that is given;
+    returns it as an exact int, so any other int subclass is stored as int."""
     if (
         not isinstance(value, int)
         or isinstance(value, bool)
         or (minimum is not None and value < minimum)
     ):
         raise ValidationError(f"{what} must be {_KIND[minimum]} integer, got {value!r}")
-    return value
+    return operator.index(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +58,9 @@ class BundleWeights:
     def __init__(self, values: Iterable[int]):
         object.__setattr__(self, "values", tuple(values))
         if not {*map(type, self.values)} <= {int}:
-            for v in self.values:  # in input order, so the first bad one is named
-                _check_int(v, "bundle weight")
+            # in input order, so the first bad one is named
+            values = tuple([_check_int(v, "bundle weight") for v in self.values])
+            object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -107,8 +110,7 @@ class FixedPointDatum:
         if not {*map(type, weights)} <= {int}:
             # checked in input order, so the first non-integer given is named
             what = f'weight of point "{label}"'
-            for w in weights:
-                _check_int(w, what)
+            weights = tuple([_check_int(w, what) for w in weights])
         object.__setattr__(self, "weights", tuple(sorted(weights)))
         if 0 in self.weights:
             raise ValidationError(
@@ -143,7 +145,8 @@ class FixedPointData:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        _check_int(self.n, "n")
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _check_int(self.n, "n"))
         if self.n < 1:
             raise ValidationError(f"dimension n must be >= 1, got {self.n}")
         if not self.points:
@@ -169,6 +172,29 @@ class FixedPointData:
                     f"bundle weight sequence length {len(self.bundle)} does not match "
                     f"point count {len(self.points)}"
                 )
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Iterable[tuple[int, ...]], bundle=None) -> FixedPointData:
+        """Data the package generates itself, built without the input checks.
+
+        The caller guarantees that ``n`` is an exact int, that each row is a
+        tuple of exactly ``n`` exact ints, ascending and nonzero, and that
+        ``bundle`` is None or a :class:`BundleWeights` with one weight per
+        row.  Points are labelled P1, P2, ...; the result equals, and hashes
+        like, the validated build.
+        """
+        new, put = object.__new__, object.__setattr__  # as __init__ does: no dict per point
+        points = []
+        for i, row in enumerate(rows, 1):
+            point = new(FixedPointDatum)
+            put(point, "label", f"P{i}")
+            put(point, "weights", row)
+            points.append(point)
+        data = new(cls)
+        put(data, "n", n)
+        put(data, "points", tuple(points))
+        put(data, "bundle", bundle)
+        return data
 
     @property
     def point_count(self) -> int:
@@ -271,7 +297,7 @@ def loads(text: str) -> FixedPointData:
 
 def load(path) -> FixedPointData:
     """Validate the JSON interchange document at ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is skipped
         return loads(handle.read())
 
 

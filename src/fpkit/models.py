@@ -8,7 +8,7 @@ import dataclasses
 from collections import Counter
 from collections.abc import Iterator, Mapping, Sequence
 
-from .core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, _check_int
+from .core import BundleWeights, FixedPointData, ValidationError, _check_int
 
 
 def _pairwise_differences(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -44,19 +44,18 @@ def linear_pn(values: Sequence[int]) -> FixedPointData:
             f"got {len(entries)}"
         )
     if not ({*map(type, entries)} <= {int} and len(set(entries)) == len(entries)):
-        seen = set()  # in input order, so the first bad or repeated value is named
+        seen: dict[int, None] = {}  # ordered, so the first bad or repeated value is named
         for value in entries:
-            _check_int(value, "linear model weight")
+            value = _check_int(value, "linear model weight")
             if value in seen:
                 raise ValidationError(
                     f"linear model weights must be pairwise distinct, {value} repeats"
                 )
-            seen.add(value)
-    points = tuple(
-        FixedPointDatum(f"P{i}", weights)
-        for i, weights in enumerate(_pairwise_differences(entries), 1)
+            seen[value] = None
+        entries = tuple(seen)  # the values as exact ints
+    return FixedPointData._from_rows(
+        len(entries) - 1, _pairwise_differences(entries), BundleWeights(entries)
     )
-    return FixedPointData(len(entries) - 1, points, BundleWeights(entries))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .core import (
     FixedPointData,
-    FixedPointDatum,
     ValidationError,
     _check_int,
     projective_profile,
@@ -78,7 +77,7 @@ class SearchSpec:
 
     def __post_init__(self):
         for name in ("n", "bound", "max_leaves"):
-            _check_int(getattr(self, name), name, 1)
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
         if self.k0 is not None:
             if isinstance(self.k0, bool) or not isinstance(self.k0, (int, Fraction)):
                 raise ValidationError(
@@ -145,13 +144,6 @@ def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
     return True
 
 
-def _build(n: int, entries: list[tuple[int, int, tuple[int, ...]]]) -> FixedPointData:
-    points = tuple(
-        FixedPointDatum(f"P{i + 1}", entry[2]) for i, entry in enumerate(entries)
-    )
-    return FixedPointData(n, points)
-
-
 def _join(
     keys: list[int],
     table: dict[int, list[tuple[int, ...]]],
@@ -196,7 +188,8 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     for tail in itertools.combinations_with_replacement(range(len(pool)), m // 2):
         table.setdefault(-sum(map(keys.__getitem__, tail)), []).append(tail)
     for indices in _join(keys, table, m - m // 2):
-        data = _build(n, [pool[i] for i in indices])
+        # pool weights are ascending multisets of nonzero ints: canonical rows
+        data = FixedPointData._from_rows(n, [pool[i][2] for i in indices])
         if _accept(spec, data):
             yield data
 

@@ -227,6 +227,20 @@ def test_pair_pass_fail_and_invalid(capsys, model_file, hyperplane_file, tmp_pat
     assert "dimension mismatch" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
+def test_commands_skip_a_byte_order_mark(capsys, model_file, hyperplane_file, tmp_path, command):
+    marked = {}
+    for name, path in (("model", model_file), ("hyperplane", hyperplane_file)):
+        marked[name] = tmp_path / f"bom-{name}.json"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+    plain_args = [model_file, hyperplane_file] if command == "pair" else [model_file]
+    bom_args = [str(marked["model"]), str(marked["hyperplane"])][: len(plain_args)]
+    expected = run(capsys, command, *plain_args)
+    code, out, err = run(capsys, command, *bom_args)
+    assert (code, out, err) == expected and code == 0
+    assert not out.startswith("\ufeff")
+
+
 def test_pair_explicit_embedding(capsys, model_file, tmp_path):
     renamed = tmp_path / "renamed.json"
     renamed.write_text(

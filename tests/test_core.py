@@ -269,6 +269,24 @@ class Weight(int):
     pass
 
 
+def test_int_subclass_values_are_stored_as_int_and_serialize():
+    # each constructor that accepts an int subclass keeps an exact int
+    datum = FixedPointDatum("A", [Weight(-1)])
+    bundle = BundleWeights([Weight(0), 1])
+    data = FixedPointData(Weight(1), (datum, FixedPointDatum("B", [1])), bundle)
+    for leaf in (*datum.weights, *bundle.values, data.n):
+        assert type(leaf) is int
+    assert loads(serialize(data)) == data
+    model = linear_pn([Weight(1), 2, 5])
+    assert loads(serialize(model)) == model == linear_pn([1, 2, 5])
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + serialize(linear_pn((0, 2, 5))).encode())
+    assert load(path) == linear_pn((0, 2, 5))
+
+
 def test_bundle_weights_name_the_first_bad_value():
     for values, shown in (([0, True, 1.5], "True"), ([0, 1.5, True], r"1\.5"), (["1"], "'1'")):
         with pytest.raises(ValidationError, match=f"^bundle weight must be an integer, got {shown}$"):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpkit.core import FixedPointData, FixedPointDatum, ValidationError
+from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, serialize
 from fpkit.hattori import hattori_verdict
 from fpkit.localization import residue_constraints_hold
 from fpkit.models import linear_pn, pair_restriction_check
@@ -84,6 +85,50 @@ def test_linear_pn_matches_the_pairwise_difference_definition():
 def test_linear_pn_reports_the_first_problem_in_input_order(values, message):
     with pytest.raises(ValidationError, match=message):
         linear_pn(values)
+
+
+def validated_linear_pn(values):
+    # the same data through the checking constructors
+    rows = [sorted(a - b for j, b in enumerate(values) if j != i) for i, a in enumerate(values)]
+    points = tuple(FixedPointDatum(f"P{i}", row) for i, row in enumerate(rows, 1))
+    return FixedPointData(len(values) - 1, points, BundleWeights(values))
+
+
+@given(distinct_entries, st.data())
+def test_linear_pn_equals_the_validated_build(values, draw):
+    wrapped = draw.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    entries = [Weight(v) if w else v for v, w in zip(values, wrapped)]
+    data, reference = linear_pn(entries), validated_linear_pn(values)
+    assert data == reference and hash(data) == hash(reference)
+    assert data.common_denominator == reference.common_denominator
+    assert serialize(data) == serialize(reference)
+    assert {type(w) for p in data.points for w in p.weights} == {int}
+    assert {type(v) for v in data.bundle.values} == {int}
+
+
+class OddDifference(int):
+    # subtraction that leaves the integers
+    def __sub__(self, other):
+        return 0.5
+
+    def __rsub__(self, other):
+        return 0.5
+
+
+def test_linear_pn_subtracts_exact_ints_for_an_int_subclass():
+    data = linear_pn([OddDifference(0), 1, OddDifference(3)])
+    assert data == validated_linear_pn([0, 1, 3])
+    assert all(type(w) is int for p in data.points for w in p.weights)
+
+
+def test_trusted_linear_data_keeps_the_dataclass_behaviour():
+    data = linear_pn((0, 1, 3))
+    assert data.common_denominator is data.common_denominator  # the memo is kept
+    assert dataclasses.replace(data, bundle=None) == FixedPointData(2, data.points)
+    with pytest.raises(ValidationError, match="expected n = 3"):
+        dataclasses.replace(data, n=3)
+    with pytest.raises(ValidationError, match="does not match point count"):
+        dataclasses.replace(data, bundle=BundleWeights((0, 1)))
 
 
 def test_hyperplane_model_matches_linear_recipe():

@@ -17,6 +17,7 @@ from fpkit.core import (
     ValidationError,
     iter_documents,
     serialize,
+    to_document,
     validate,
 )
 from fpkit.localization import residue_constraints_hold
@@ -96,6 +97,27 @@ def test_survivors_revalidate_from_serialized_form():
     for data in enumerate_survivors(SearchSpec(n=2, bound=3)):
         reloaded = validate(json.loads(serialize(data)))
         assert residue_constraints_hold(reloaded)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 3), (2, 8), (3, 3)])
+def test_survivors_equal_their_validated_documents(n, bound):
+    survivors = list(enumerate_survivors(SearchSpec(n=n, bound=bound)))
+    assert survivors
+    for data in survivors:
+        reference = validate(to_document(data))
+        assert data == reference and hash(data) == hash(reference)
+        assert data.common_denominator == reference.common_denominator
+
+
+def test_an_int_subclass_spec_gives_the_same_serializable_survivors():
+    class Count(int):
+        pass
+
+    spec = SearchSpec(n=Count(2), bound=Count(3), max_leaves=Count(10**6))
+    assert all(type(getattr(spec, name)) is int for name in ("n", "bound", "max_leaves"))
+    survivors = list(enumerate_survivors(spec))
+    assert survivors == list(enumerate_survivors(SearchSpec(n=2, bound=3)))
+    assert [validate(json.loads(serialize(data))) for data in survivors] == survivors
 
 
 def test_survivor_stream_reads_back_as_documents():
