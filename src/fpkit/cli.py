@@ -66,7 +66,7 @@ def _poly_payload(poly: LaurentPoly) -> dict:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is skipped
+        with open(path, "r", encoding="utf-8") as handle:  # the parsers skip a leading BOM
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

@@ -287,9 +287,12 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def loads(text: str) -> FixedPointData:
-    """Validate a JSON interchange document given as a string."""
+    """Validate a JSON interchange document given as a string.
+
+    One leading byte-order mark (U+FEFF) is skipped.
+    """
     try:
-        raw = _DECODER.decode(text)
+        raw = _DECODER.decode(text.removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
         raise ValidationError(f"malformed JSON document: {exc}") from exc
     return validate(raw)
@@ -297,7 +300,7 @@ def loads(text: str) -> FixedPointData:
 
 def load(path) -> FixedPointData:
     """Validate the JSON interchange document at ``path``."""
-    with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is skipped
+    with open(path, "r", encoding="utf-8") as handle:  # loads skips a leading BOM
         return loads(handle.read())
 
 
@@ -362,9 +365,11 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
     """Iterate over a stream of concatenated JSON documents.
 
     Survivor streams are emitted as canonical documents one after another;
-    this walks the stream with an incremental decoder.
+    this walks the stream with an incremental decoder.  One leading
+    byte-order mark (U+FEFF) is skipped; one later in the stream is
+    malformed.
     """
-    position = 0
+    position = 1 if text.startswith("\ufeff") else 0
     length = len(text)
     while position < length:
         while position < length and text[position].isspace():

@@ -13,23 +13,25 @@ radix = 2 m scale (n B)^(n-1) + 1.  Each entry's key packs its terms as
 sum_r c s^r radix^r; packing is additive, and a balanced base-radix
 expansion with digits inside (-radix/2, radix/2) is unique, so a packed sum
 of at most m entries is zero exactly when every residue constraint r < n
-holds.  A table holds every multiset of h = m // 2 pool entries under its
-negated packed sum, and a depth-first search over the first m - h points
-carries one packed partial sum and looks it up at its last level.  Each
-joined candidate is re-checked against every residue constraint before the
-filters.  The stream is canonically ordered and byte-deterministic: the
-multiset pool is sorted by (weight sum, weight product, weights) and
-candidates are emitted in lexicographic order of their non-decreasing
-pool-index tuples, which makes every emitted candidate's points already
-canonically sorted.
+holds.  The join takes the packed sum of every multiset of h = m // 2 pool
+entries once.  A candidate splits into a head, an h-multiset preceded by
+one more entry when m is odd, and a tail h-multiset.  One set intersection
+per head's first entry (a single one when m is even) finds the tail sums
+that some head negates; only the multisets with such sums become index
+tuples, which are paired and sorted.  Each joined candidate is re-checked
+against every residue constraint before the filters.  The stream is
+canonically ordered and byte-deterministic: the multiset pool is sorted by
+(weight sum, weight product, weights) and candidates are emitted in
+lexicographic order of their non-decreasing pool-index tuples, which makes
+every emitted candidate's points already canonically sorted.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -144,33 +146,64 @@ def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
     return True
 
 
-def _join(
-    keys: list[int],
-    table: dict[int, list[tuple[int, ...]]],
-    depth: int,
-    start: int = 0,
-    partial: int = 0,
-    chosen: tuple[int, ...] = (),
-) -> Iterator[tuple[int, ...]]:
-    # a module-level recursion: a nested closure naming itself would form a
-    # reference cycle that holds the table until the cyclic collector runs
-    for index in range(start, len(keys)):
-        total = partial + keys[index]
-        if depth > 1:
-            yield from _join(keys, table, depth - 1, index, total, (*chosen, index))
-        elif (tails := table.get(total)) is not None:
-            # tails are in lexicographic order, so those starting at or after
-            # index form a suffix
-            for tail in tails[bisect.bisect_left(tails, (index,)):]:
-                yield (*chosen, index, *tail)
+def _join(keys: list[int], m: int) -> list[tuple[int, ...]]:
+    """Every non-decreasing m-tuple of indices into ``keys`` whose keys sum
+    to zero, in lexicographic order.
+
+    With h = m // 2, a tuple is a prefix of m - 2h indices (none, or one
+    index i), then an h-multiset starting at or after the prefix, which
+    together make the head, then a tail h-multiset starting at or after the
+    head's last index.
+    """
+    size, h = len(keys), m // 2
+    # in lexicographic order, so the multisets starting at or after index i
+    # are the last C(size - i + h - 1, h)
+    sums = list(map(sum, itertools.combinations_with_replacement(keys, h)))
+    tail_sums = set(sums)
+    prefixes = [((i,), keys[i], i) for i in range(size)] if m % 2 else [((), 0, 0)]
+    hits = []
+    needed: set[int] = set()
+    for prefix, base, first in prefixes:
+        start = len(sums) - math.comb(size - first + h - 1, h)
+        # the tail sums -(base + s) over the head multiset sums s here
+        heads = map(operator.sub, itertools.repeat(-base), sums[start:])
+        found = tail_sums.intersection(heads)
+        if found:
+            hits.append((prefix, base, first, found))
+            needed |= found
+            needed.update(map(operator.sub, itertools.repeat(-base), found))
+    # freed before the pairing allocates, as the cyclic collector would walk
+    # them on every full collection
+    del tail_sums
+    mask = bytes(map(needed.__contains__, sums))
+    groups: dict[int, list[tuple[int, ...]]] = {}  # lexicographic in each sum
+    for total, multiset in zip(
+        itertools.compress(sums, mask),
+        itertools.compress(itertools.combinations_with_replacement(range(size), h), mask),
+    ):
+        groups.setdefault(total, []).append(multiset)
+    del sums, mask
+    joined = []
+    for prefix, base, first, found in hits:
+        for total in found:
+            tails = groups[total]
+            for head in groups[-base - total]:
+                if head[0] >= first:
+                    last = head[-1]
+                    joined.extend((*prefix, *head, *tail) for tail in tails if tail[0] >= last)
+    joined.sort()
+    return joined
 
 
 def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     """Yield every survivor of the sweep in canonical order.
 
     Raises SearchSpaceError when the raw space exceeds the spec's leaf
-    budget.  That budget bounds the join table too: its C(P + h - 1, h)
-    entries, for a pool of P entries, never outnumber the raw leaves.
+    budget.  That budget bounds the join's memory too: for a pool of P
+    entries, the key sums of the h-multisets and their set each hold
+    C(P + h - 1, h) entries, and index tuples are built only for the
+    multisets whose sum can close a candidate; C(P + h - 1, h) never
+    exceeds the raw leaves.
     """
     # the raw leaves number at least 2^n (the pool has at least n+1 entries and
     # C(2n+1, n+1) >= 2^n) and at least 2B, so a huge n or B needs no count
@@ -184,10 +217,7 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
     scale = math.lcm(*(product for _, product, _ in pool))
     radix = 2 * m * scale * (n * spec.bound) ** (n - 1) + 1
     keys = [sum((scale // e) * s**r * radix**r for r in range(n)) for s, e, _ in pool]
-    table: dict[int, list[tuple[int, ...]]] = {}
-    for tail in itertools.combinations_with_replacement(range(len(pool)), m // 2):
-        table.setdefault(-sum(map(keys.__getitem__, tail)), []).append(tail)
-    for indices in _join(keys, table, m - m // 2):
+    for indices in _join(keys, m):
         # pool weights are ascending multisets of nonzero ints: canonical rows
         data = FixedPointData._from_rows(n, [pool[i][2] for i in indices])
         if _accept(spec, data):

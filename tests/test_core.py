@@ -285,6 +285,21 @@ def test_load_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "bom.json"
     path.write_bytes(b"\xef\xbb\xbf" + serialize(linear_pn((0, 2, 5))).encode())
     assert load(path) == linear_pn((0, 2, 5))
+    # one mark only: the file is decoded as plain UTF-8 and loads skips it
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + serialize(linear_pn((0, 2, 5))).encode())
+    with pytest.raises(ValidationError, match="malformed JSON"):
+        load(path)
+
+
+def test_strings_skip_one_leading_byte_order_mark():
+    text = serialize(linear_pn((0, 2, 5)))
+    assert loads("\ufeff" + text) == linear_pn((0, 2, 5))
+    assert list(iter_documents("\ufeff" + text + text)) == [json.loads(text)] * 2
+    for bad in ("\ufeff\ufeff" + text, text + "\ufeff" + text):
+        with pytest.raises(ValidationError, match="malformed JSON"):
+            loads(bad)
+        with pytest.raises(ValidationError, match="malformed JSON"):
+            list(iter_documents(bad))
 
 
 def test_bundle_weights_name_the_first_bad_value():

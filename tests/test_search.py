@@ -27,6 +27,7 @@ from fpkit.search import (
     SearchSpaceError,
     SearchSpec,
     _accept,
+    _join,
     enumerate_survivors,
     leaf_count,
     rigidity_experiment,
@@ -377,6 +378,21 @@ def test_enumeration_matches_reference_brute_force(n, bound):
         assert [
             [tuple(p.weights) for p in data.points] for data in survivors
         ] == reference_survivors(n, bound, **options), options
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=10),
+    m=st.integers(min_value=2, max_value=6),
+)
+def test_join_matches_brute_force(keys, m):
+    # small keys repeat, include 0 and give many equal multiset sums; m covers
+    # both the empty prefix (even) and the one-index prefix (odd)
+    assert _join(keys, m) == [
+        indices
+        for indices in itertools.combinations_with_replacement(range(len(keys)), m)
+        if sum(keys[i] for i in indices) == 0
+    ]
 
 
 def test_rigidity_sweeps_at_3_3_and_4_2_are_fast():
