@@ -293,9 +293,14 @@ def cmd_c1candidates(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The fpkit parser, built once per process; callers must not mutate it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and its subparsers by command name, built once
     parser = argparse.ArgumentParser(
         prog="fpkit",
         description=(
@@ -360,14 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True, help="complex dimension")
     sub.set_defaults(handler=cmd_c1candidates)
 
-    return parser
+    return parser, commands.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; may be called repeatedly in one process."""
-    parser = build_parser()
+    """Run one command; may be called repeatedly in one process.
+
+    When the first argument names a command, that command's subparser reads
+    the rest directly; anything else goes through the top-level parser.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

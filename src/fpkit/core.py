@@ -17,6 +17,7 @@ import json
 import operator
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from json.decoder import WHITESPACE as _WHITESPACE
 from json.encoder import encode_basestring_ascii as _string
 from math import lcm, prod
 from typing import Any
@@ -365,17 +366,13 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
     """Iterate over a stream of concatenated JSON documents.
 
     Survivor streams are emitted as canonical documents one after another;
-    this walks the stream with an incremental decoder.  One leading
-    byte-order mark (U+FEFF) is skipped; one later in the stream is
-    malformed.
+    this walks the stream with an incremental decoder.  Documents are
+    separated by JSON whitespace only (space, tab, CR, LF), as inside a
+    document.  One leading byte-order mark (U+FEFF) is skipped; one later
+    in the stream is malformed.
     """
     position = 1 if text.startswith("\ufeff") else 0
-    length = len(text)
-    while position < length:
-        while position < length and text[position].isspace():
-            position += 1
-        if position >= length:
-            return
+    while (position := _WHITESPACE.match(text, position).end()) < len(text):
         try:
             document, position = _DECODER.raw_decode(text, position)
         except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting

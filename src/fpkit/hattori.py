@@ -124,7 +124,7 @@ def check_condition_c(
     The offset is pinned by the first point; the first point violating the
     relation is reported in the raised error.
     """
-    _check_int(k0, "k0", 0)
+    k0 = _check_int(k0, "k0", 0)
     _check_bundle(bundle, data.point_count)
     offset = data.points[0].weight_sum - k0 * bundle.values[0]
     for index, (point, a) in enumerate(zip(data.points, bundle.values)):
@@ -219,7 +219,7 @@ def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
     The larger root n+1 always qualifies; the smaller root (n+1)/2
     qualifies exactly when n = 3 (mod 4).
     """
-    _check_int(n, "dimension", 1)
+    n = _check_int(n, "dimension", 1)
     # the discriminant 9(n+1)^2 - 8(n+1)^2 is (n+1)^2, so the roots are
     # (3(n+1) +- (n+1)) / 4
     candidates = []

@@ -24,6 +24,8 @@ from .core import BundleWeights, FixedPointData, ValidationError, betti_numbers
 from .core import _check_bundle, _check_int
 from .laurent import LaurentPoly
 
+_ZERO = Fraction(0)  # what a vanishing sum returns, without a gcd
+
 
 def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fraction]:
     """The localization kernel: sum_i column[i] / e_i for every column.
@@ -35,10 +37,8 @@ def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fra
     dot product over that common denominator.
     """
     denominator, cofactors = data.common_denominator
-    return [
-        Fraction(sum(map(operator.mul, column, cofactors)), denominator)
-        for column in columns
-    ]
+    totals = (sum(map(operator.mul, column, cofactors)) for column in columns)
+    return [Fraction(total, denominator) if total else _ZERO for total in totals]
 
 
 def _residue_numerators(data: FixedPointData, top: int) -> list[int]:
@@ -65,9 +65,9 @@ def residue_sum(data: FixedPointData, power: int) -> Fraction:
     kept on the data object, at about the cost of one :func:`localize`
     call; a higher power rebuilds it up to that power.
     """
-    _check_int(power, "power", 0)
+    power = _check_int(power, "power", 0)
     numerator = _residue_numerators(data, power)[power]
-    return Fraction(numerator, data.common_denominator[0])
+    return Fraction(numerator, data.common_denominator[0]) if numerator else _ZERO
 
 
 def residue_constraints_hold(data: FixedPointData) -> bool:
@@ -95,21 +95,31 @@ def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
     return digits
 
 
-def _elementary_symmetric(values: Sequence[int], top: int) -> list[int]:
-    """Coefficients of prod (1 + v z) up to z^top; entry j is sigma_j.
+def _elementary_symmetric(values: Sequence[int], top: int, low: int = 0) -> list[int]:
+    """Entry j is sigma_j of ``values`` for low <= j <= top <= len(values);
+    an entry below ``low`` is sigma_j or 0.
 
-    The product is taken as one integer at z = 2^bits, modulo
-    2^(bits (top + 1)): one big-integer step per weight, after which the
-    coefficients are the top + 1 balanced base-2^bits digits.  The digits
-    are exact when every |sigma_j| < 2^(bits - 1).  With n values and
+    Forward, prod (1 + v z) up to z^top is taken as one integer at
+    z = 2^bits, modulo 2^(bits (top + 1)): one big-integer step per weight,
+    after which the coefficients are the top + 1 balanced base-2^bits
+    digits, exact when every |sigma_j| < 2^(bits - 1).  With n values and
     W = max |v|, every j <= top has |sigma_j| <= C(n, j) W^j, which is at
-    most (nW)^j <= (nW)^top < 2^(top * bit_length(nW)), and also at most
-    2^n W^top < 2^(n + top * bit_length(W)).  So bits = 2 + the smaller of
-    the two exponents is enough; the second is the smaller one when top is
-    a large share of n.
+    most (nW)^top < 2^(top * bit_length(nW)) and at most
+    2^n W^top < 2^(n + top * bit_length(W)), so bits = 2 + the smaller
+    exponent is enough.  Backward, prod (v + z) up to z^(n - low) is taken
+    the same way; its digit k is sigma_(n - k), and every j >= low has
+    |sigma_j| <= min(2^n, n^(n - low)) W^n, which gives its digit width.
+    The direction with fewer packed bits is taken, so a monomial whose
+    indices are all near n packs few digits.
     """
     n, width = len(values), max(map(abs, values))
     bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
+    back = 2 + min(n, (n - low) * n.bit_length()) + n * width.bit_length()
+    if back * (n - low + 1) < bits * (top + 1):
+        mask, acc = (1 << back * (n - low + 1)) - 1, 1
+        for v in values:
+            acc = ((acc << back) + acc * v) & mask
+        return [0] * low + _balanced_digits(acc, back, n - low + 1)[::-1][: top - low + 1]
     mask = (1 << bits * (top + 1)) - 1
     acc = 1
     for v in values:
@@ -126,14 +136,13 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     indices is divided by the weight product and summed exactly.  The data
     is taken at face value; no realizability check is attempted.
     """
-    indices = tuple(indices)
-    for i in indices:
-        _check_int(i, "Chern index", 1)
+    indices = tuple(_check_int(i, "Chern index", 1) for i in indices)
     if not indices:
         raise ValidationError("a Chern monomial needs at least one index")
     if sum(indices) != data.n:
         raise ValidationError(f"monomial degree {sum(indices)} does not match n = {data.n}")
-    sigmas = [_elementary_symmetric(p.weights, max(indices)) for p in data.points]
+    top, low = max(indices), min(indices)
+    sigmas = [_elementary_symmetric(p.weights, top, low) for p in data.points]
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
 
@@ -183,7 +192,7 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
     sum 3^(n+1) / 2 less its k = n+1 term 1/2.  That is below 2^(2n+1),
     so bits = 2n + 2 is enough.
     """
-    _check_int(n, "dimension", 1)
+    n = _check_int(n, "dimension", 1)
     bits = 2 * n + 2
     acc, binomial, power = n + 1, n + 1, 1  # c_n, c_n, (1 + y)^0
     for j in range(1, n + 1):
@@ -199,7 +208,7 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
     The constant coefficient equals the Euler characteristic when the input
     polynomial came from fixed-point data.
     """
-    _check_int(n, "dimension", 0)
+    n = _check_int(n, "dimension", 0)
     if not isinstance(chi, LaurentPoly):
         raise ValidationError(f"genus input must be a LaurentPoly, got {chi!r}")
     if not chi.is_zero():
@@ -224,11 +233,14 @@ def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:
     Raises ValidationError when the result is not an integer, which signals
     inconsistent input data.
     """
-    _check_int(n, "dimension", 1)
-    _check_int(euler, "Euler characteristic")
+    n = _check_int(n, "dimension", 1)
+    euler = _check_int(euler, "Euler characteristic")
     if not isinstance(k2, (int, Fraction)) or isinstance(k2, bool):
         raise ValidationError(f"k2 must be an integer or a Fraction, got {k2!r}")
-    value = 12 * Fraction(k2) - Fraction(n * (3 * n - 5), 2) * euler
+    offset = n * (3 * n - 5) // 2 * euler  # n(3n - 5) is even, so this is exact
+    if isinstance(k2, int):
+        return 12 * operator.index(k2) - offset
+    value = 12 * k2 - offset
     if value.denominator != 1:
         raise ValidationError(f"c1*c(n-1) came out non-integral ({value}); inconsistent input")
     return int(value)

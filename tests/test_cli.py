@@ -823,3 +823,85 @@ def test_search_output_dash_is_a_file_name(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["matches"] == [[[-1], [1]]]
     stream = (tmp_path / "-").read_text()
     assert [d.points[0].weights for d in map(validate, iter_documents(stream))] == [(-1,)]
+
+
+# a valid argument list for each command, run from a directory holding
+# model.json (CP^2) and line.json (CP^1)
+COMMAND_ARGS = {
+    "validate": ["model.json"],
+    "report": ["model.json"],
+    "hattori": ["model.json"],
+    "model": ["--weights", "0,1,3"],
+    "pair": ["model.json", "line.json"],
+    "search": ["--n", "1", "--bound", "1"],
+    "c1candidates": ["--n", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_command_help_shows_the_command_usage(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fpkit {command} ")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_a_missing_or_extra_argument_shows_the_command_usage(
+    capsys, tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    dump(linear_pn((0, 1, 3)), tmp_path / "model.json")
+    dump(linear_pn((0, 1)), tmp_path / "line.json")
+    args = COMMAND_ARGS[command]
+    assert run(capsys, command, *args)[0] == 0
+    for argv in (args[:-1], [*args, "extra"]):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"usage: fpkit {command} ")
+        assert f"\nfpkit {command}: error: " in err
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fpkit", "c1candidates", "--n", "3"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+    monkeypatch.setattr(sys, "argv", ["fpkit", "report"])
+    assert main() == 2
+    assert capsys.readouterr().err.startswith("usage: fpkit report ")
+
+
+TOP_USAGE = (
+    "usage: fpkit [-h] [--version]\n"
+    "             {validate,report,hattori,model,pair,search,c1candidates} ...\n"
+)
+
+
+def test_arguments_without_a_command_go_through_the_top_level_parser(capsys):
+    assert run(capsys) == (
+        2, "", TOP_USAGE + "fpkit: error: the following arguments are required: command\n"
+    )
+    code, out, err = run(capsys, "frobnicate", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith(TOP_USAGE + "fpkit: error: argument command: invalid choice: 'frobnicate'")
+    assert run(capsys, "--version") == (0, "fpkit 0.1.0\n", "")
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith(TOP_USAGE) and "c1candidates" in out
+
+
+@pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\v", "\x1c"])
+@pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
+def test_non_json_whitespace_is_invalid_input(capsys, model_file, tmp_path, command, space):
+    path = tmp_path / "spaced.json"
+    path.write_text(space + open(model_file).read(), encoding="utf-8")
+    before = [model_file] if command == "pair" else []
+    code, out, err = run(capsys, command, *before, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON document: ")
+
+
+def test_a_crlf_separated_stream_is_read(capsys, tmp_path):
+    text = serialize(linear_pn((0, 1, 3))) + serialize(linear_pn((0, 1)))
+    path = tmp_path / "stream.json"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert run(capsys, "validate", str(path)) == (0, text, "")

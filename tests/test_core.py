@@ -373,3 +373,15 @@ def test_to_json_refuses_values_past_the_str_limit(value):
 def test_to_json_refuses_unsupported_leaves(leaf):
     with pytest.raises(TypeError):
         to_json({"value": [leaf]})
+
+
+def test_stream_documents_are_separated_by_json_whitespace_only():
+    text = serialize(linear_pn((0, 2, 5)))
+    crlf = text.replace("\n", "\r\n")
+    assert list(iter_documents(f" \t{crlf}\r\n{crlf}\n")) == [json.loads(text)] * 2
+    for space in ("\u00a0", "\u2028", "\v", "\x1c", "\u3000"):
+        for bad in (space + text, text + space, text + space + text):
+            with pytest.raises(ValidationError, match="^malformed JSON document: "):
+                list(iter_documents(bad))
+            with pytest.raises(ValidationError, match="^malformed JSON document: "):
+                loads(bad)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from fpkit import cli
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
-from fpkit.hattori import distinctness_analysis
+from fpkit.hattori import check_condition_c, distinctness_analysis, first_chern_candidates
 from fpkit.laurent import LaurentPoly
 from fpkit import localization
 from fpkit.localization import (
+    _ZERO,
     _elementary_symmetric,
     c1cn1_from_k2,
     c1_power,
@@ -551,3 +552,112 @@ def test_hrr_matches_sympy_power_series():
         assert all(c.is_integer for c in coefficients)
         expected = LaurentPoly((k, int(c)) for k, c in enumerate(coefficients))
         assert chi_y_hrr_projective(n) == expected
+
+
+# -- exact ints from int subclasses -------------------------------------------
+
+class Half(int):
+    # an int subclass whose arithmetic leaves the integers
+    def _half(self, *other):
+        return 0.5
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _half
+    __floordiv__ = __rfloordiv__ = __pow__ = __rpow__ = __neg__ = _half
+
+
+def test_c1cn1_computes_with_an_exact_int_dimension():
+    assert c1cn1_from_k2(3, 3, Half(2)) == c1cn1_from_k2(3, 3, 2) == 33
+    assert c1cn1_from_k2(Half(3), Half(3), 2) == 33
+
+
+def test_first_chern_candidates_computes_with_an_exact_int_dimension():
+    assert first_chern_candidates(Half(3)) == first_chern_candidates(3)
+
+
+def test_hrr_computes_with_an_exact_int_dimension():
+    assert chi_y_hrr_projective(Half(2)) == chi_y_hrr_projective(2)
+
+
+def test_k_coefficients_computes_with_an_exact_int_dimension():
+    chi = chi_y_from_data(linear_pn((0, 1, 3)))
+    assert k_coefficients(chi, Half(2)) == k_coefficients(chi, 2) == (3, -3, 1)
+
+
+def test_condition_c_computes_with_an_exact_int_multiplier():
+    data = linear_pn((0, 1, 3))
+    assert check_condition_c(data, data.bundle, Half(3)) == check_condition_c(data, data.bundle, 3)
+
+
+def test_residue_sum_and_chern_monomial_compute_with_exact_int_indices():
+    data = linear_pn((0, 1, 3))
+    assert residue_sum(data, Half(2)) == 9
+    assert chern_monomial(data, [Half(1), 1]) == chern_monomial(data, [1, 1]) == 9
+
+
+# -- integer and vanishing results --------------------------------------------
+
+def test_c1cn1_integer_path_matches_the_fraction_path():
+    for n in range(1, 13):
+        for euler in range(-4, 15):
+            for k2 in range(-30, 31, 3):
+                value = c1cn1_from_k2(k2, euler, n)
+                assert type(value) is int
+                assert value == c1cn1_from_k2(Fraction(k2), euler, n)
+                assert value == 12 * k2 - Fraction(n * (3 * n - 5), 2) * euler
+
+
+def test_a_vanishing_residue_sum_is_a_fraction_zero():
+    data = linear_pn((0, 2, 5, 7))
+    for power in range(3):
+        value = residue_sum(data, power)
+        assert type(value) is Fraction and value == 0 and value is _ZERO
+    assert residue_sum(data, 3) == 4**3
+
+
+# -- both packing directions of the elementary symmetric functions ------------
+
+def sigma_reads(monkeypatch):
+    # the digit count of every packed product read
+    reads = []
+    reader = localization._balanced_digits
+
+    def spy(acc, bits, count):
+        reads.append(count)
+        return reader(acc, bits, count)
+
+    monkeypatch.setattr(localization, "_balanced_digits", spy)
+    return reads
+
+
+def test_elementary_symmetric_packs_the_direction_with_fewer_bits(monkeypatch):
+    rng = random.Random(17)
+    reads = sigma_reads(monkeypatch)
+    directions = set()
+    for n in range(1, 13):
+        for _ in range(6):
+            width = rng.choice((1, 9, 1000, 10**9))
+            values = [rng.choice((-1, 1)) * rng.randint(1, width) for _ in range(n)]
+            expected = brute_elementary_symmetric(values, n)
+            for low in range(n + 1):
+                for top in range(low, n + 1):
+                    reads.clear()
+                    got = _elementary_symmetric(values, top, low)
+                    assert len(got) == top + 1
+                    assert got[low:] == expected[low : top + 1], (values, top, low)
+                    (count,) = reads
+                    directions.add("forward" if count == top + 1 else "backward")
+    assert directions == {"forward", "backward"}
+
+
+@pytest.mark.parametrize("n", [3, 12, 39])
+def test_chern_monomials_near_n_match_the_oracle(monkeypatch, n):
+    rng = random.Random(n)
+    data = linear_pn(rng.sample(range(-1000, 1001), n + 1))
+    # [k, n - k] runs through [n - 1, 1] and [1, n - 1]
+    for indices in ([n], *([k, n - k] for k in range(1, n))):
+        expected = math.prod(math.comb(n + 1, i) for i in indices)
+        assert chern_monomial(data, indices) == expected, indices
+    # [n] reads one backward digit per point
+    reads = sigma_reads(monkeypatch)
+    chern_monomial(data, [n])
+    assert reads == [1] * (n + 1)
