@@ -60,7 +60,7 @@ def _fail(message: str) -> int:
 def _poly_payload(poly: LaurentPoly) -> dict:
     return {
         "coefficients": {str(k): c for k, c in poly.terms},
-        "text": poly.fmt("y"),
+        "text": poly.fmt(),
     }
 
 
@@ -310,7 +310,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         ),
     )
     parser.add_argument("--version", action="version", version=f"fpkit {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command")
 
     sub = commands.add_parser("validate", help="validate a data file and echo it canonically")
     sub.add_argument("path", help="fixed-point data file")
@@ -381,6 +381,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = commands[argv[0]].parse_args(argv[1:])
         else:
             args = parser.parse_args(argv)
+            if args.command is None:
+                parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -22,8 +22,6 @@ from json.encoder import encode_basestring_ascii as _string
 from math import lcm, prod
 from typing import Any
 
-from .laurent import LaurentPoly
-
 
 class ValidationError(ValueError):
     """Raised when raw input or constructed data violates a model invariant."""
@@ -130,10 +128,6 @@ class FixedPointDatum:
     @property
     def negative_count(self) -> int:
         return bisect.bisect_left(self.weights, 0)
-
-    def tangent_character(self) -> LaurentPoly:
-        """The tangent space as a virtual representation: sum of t^w over weights."""
-        return LaurentPoly.from_exponents(self.weights)
 
 
 @dataclasses.dataclass(frozen=True)

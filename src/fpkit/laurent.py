@@ -1,8 +1,7 @@
-"""Integer-coefficient Laurent polynomials in one formal variable.
+"""Integer-coefficient Laurent polynomials in the genus variable ``y``.
 
-Used both for genus polynomials in ``y`` and for virtual circle
-representations in ``t`` (finite sums of powers ``t^k``, k any integer).
-All arithmetic is exact.
+fpkit computes genus polynomials as packed integers and keeps the results
+here; the only arithmetic is the exact product of two of them.
 """
 
 from __future__ import annotations
@@ -42,15 +41,6 @@ class LaurentPoly:
         terms = tuple(sorted((k, c) for k, c in merged.items() if c != 0))
         object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> LaurentPoly:
-        """Sum of monomials ``t^k``, one per listed exponent (with multiplicity).
-
-        >>> LaurentPoly.from_exponents([-1, 2, 2])
-        LaurentPoly('y^-1 + 2y^2')
-        """
-        return cls((k, 1) for k in exponents)
-
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)
 
@@ -67,27 +57,7 @@ class LaurentPoly:
         """True when no negative exponents occur."""
         return not self.terms or self.terms[0][0] >= 0
 
-    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly(list(self.terms) + list(other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly((k, -c) for k, c in self.terms)
-
-    def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return (-self) + other
-
-    def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            return LaurentPoly((k, c * other) for k, c in self.terms)
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: dict[int, int] = {}
@@ -97,30 +67,20 @@ class LaurentPoly:
                 acc[k] = acc.get(k, 0) + a * b
         return LaurentPoly(acc)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> LaurentPoly:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for LaurentPoly")
-        result = LaurentPoly({0: 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def fmt(self, var: str = "y") -> str:
-        """Human-readable rendering in ascending exponent order.
+    def fmt(self) -> str:
+        """Human-readable rendering in ``y``, in ascending exponent order.
 
         >>> LaurentPoly({0: 1, 1: -1, 2: 1}).fmt()
         '1 - y + y^2'
-        >>> LaurentPoly({-1: 1, 3: -2}).fmt(var="t")
-        't^-1 - 2t^3'
+        >>> LaurentPoly({-1: 1, 3: -2}).fmt()
+        'y^-1 - 2y^3'
         """
         if not self.terms:
             return "0"
         parts: list[str] = []
         for k, c in self.terms:
             sign = " - " if (c < 0 and parts) else " + " if parts else "-" if c < 0 else ""
-            power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            power = "" if k == 0 else "y" if k == 1 else f"y^{k}"
             magnitude = "" if (abs(c) == 1 and power) else str(abs(c))
             parts.append(sign + magnitude + power)
         return "".join(parts)

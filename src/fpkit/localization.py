@@ -82,7 +82,18 @@ def c1_power(data: FixedPointData) -> Fraction:
 
 def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
     """The ``count`` lowest balanced base-2^bits digits of ``acc``, lowest
-    first, each in [-2^(bits - 1), 2^(bits - 1))."""
+    first, each in [-2^(bits - 1), 2^(bits - 1)).
+
+    The digit rule of every packed polynomial in fpkit.  For a base R >= 3
+    and the window of the R integers from -floor(R/2) on, every integer x
+    is sum_k d_k R^k for exactly one finite digit sequence in the window:
+    d_0 is the window's one integer congruent to x mod R, and the rest are
+    the digits of x' = (x - d_0) / R, where |x'| <= (|x| + R/2) / R < |x|
+    for x != 0.  So d_0..d_(k-1) depend only on x mod R^k, and they are the
+    coefficients below degree k of an integer polynomial p with p(R) = x
+    (mod R^k) when those lie in the window.  Here R = 2^bits, bits >= 2;
+    a digit is acc mod R, less R with a carry of 1 when it is >= R/2.
+    """
     digit_mask, half = (1 << bits) - 1, 1 << bits - 1
     digits = []
     for _ in range(count):
@@ -99,18 +110,16 @@ def _elementary_symmetric(values: Sequence[int], top: int, low: int = 0) -> list
     """Entry j is sigma_j of ``values`` for low <= j <= top <= len(values);
     an entry below ``low`` is sigma_j or 0.
 
-    Forward, prod (1 + v z) up to z^top is taken as one integer at
-    z = 2^bits, modulo 2^(bits (top + 1)): one big-integer step per weight,
-    after which the coefficients are the top + 1 balanced base-2^bits
-    digits, exact when every |sigma_j| < 2^(bits - 1).  With n values and
-    W = max |v|, every j <= top has |sigma_j| <= C(n, j) W^j, which is at
-    most (nW)^top < 2^(top * bit_length(nW)) and at most
-    2^n W^top < 2^(n + top * bit_length(W)), so bits = 2 + the smaller
-    exponent is enough.  Backward, prod (v + z) up to z^(n - low) is taken
-    the same way; its digit k is sigma_(n - k), and every j >= low has
-    |sigma_j| <= min(2^n, n^(n - low)) W^n, which gives its digit width.
-    The direction with fewer packed bits is taken, so a monomial whose
-    indices are all near n packs few digits.
+    Forward, prod (1 + v z) is one integer at z = 2^bits, taken modulo
+    2^(bits (top + 1)) with one big-integer step per weight; its lowest
+    top + 1 digits (:func:`_balanced_digits`) are sigma_0..sigma_top if each
+    is below 2^(bits - 1) in absolute value.  With n values and W = max |v|,
+    |sigma_j| <= C(n, j) W^j is at most (nW)^top < 2^(top * bit_length(nW))
+    and 2^n W^top < 2^(n + top * bit_length(W)), so bits = 2 + the smaller
+    exponent is enough.  Backward, prod (v + z) modulo z^(n - low + 1) is
+    taken the same way: digit k is sigma_(n - k), and each j >= low has
+    |sigma_j| <= min(2^n, n^(n - low)) W^n, which sets its width.  Taking
+    the direction with fewer bits packs few digits when all indices are near n.
     """
     n, width = len(values), max(map(abs, values))
     bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
@@ -184,13 +193,11 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
     Horner over c_k = C(n+1, k): after step j the value is the sum over
     k >= n - j of c_k (-y)^(k-n+j) (1 + y)^(n-k), so each step multiplies
     by -y (a shift) and adds c_(n-j) times the running power (1 + y)^j (a
-    shift and an add).  The genus coefficients are the n + 1 balanced
-    base-2^bits digits of the result, exact when each has absolute value
-    below 2^(bits - 1).  The coefficient of y^m is the sum over k of
-    c_k (-1)^k C(n-k, m-k), so its absolute value is at most the sum over
-    k <= n of c_k 2^(n-k), which is (3^(n+1) - 1) / 2: the full binomial
-    sum 3^(n+1) / 2 less its k = n+1 term 1/2.  That is below 2^(2n+1),
-    so bits = 2n + 2 is enough.
+    shift and an add).  Its n + 1 digits (:func:`_balanced_digits`) are the
+    genus coefficients, as each coefficient of y^m, the sum over k of
+    c_k (-1)^k C(n-k, m-k), is at most the sum over k <= n of c_k 2^(n-k)
+    in absolute value: that is (3^(n+1) - 1) / 2, the full binomial sum
+    3^(n+1) / 2 less its k = n+1 term 1/2, below 2^(2n+1) = 2^(bits - 1).
     """
     n = _check_int(n, "dimension", 1)
     bits = 2 * n + 2

@@ -10,9 +10,10 @@ pool's weight products, entry (s, e) has the residue terms c s^r for
 r = 0..n-1, with c = scale / e.  As |c| <= scale and |s| <= n B, a sum of at
 most m = n+1 entries has every term sum below radix/2 in absolute value, for
 radix = 2 m scale (n B)^(n-1) + 1.  Each entry's key packs its terms as
-sum_r c s^r radix^r; packing is additive, and a balanced base-radix
-expansion with digits inside (-radix/2, radix/2) is unique, so a packed sum
-of at most m entries is zero exactly when every residue constraint r < n
+sum_r c s^r radix^r; packing is additive, and by the digit rule proved at
+``localization._balanced_digits`` its term sums are the balanced digits
+of the packed sum in (-radix/2, radix/2), so a packed sum of at most m
+entries is zero exactly when every residue constraint r < n
 holds.  The join takes the packed sum of every multiset of h = m // 2 pool
 entries once.  A candidate splits into a head, an h-multiset preceded by
 one more entry when m is odd, and a tail h-multiset.  One set intersection
@@ -48,8 +49,7 @@ from .hattori import (
     hattori_verdict,
 )
 from .localization import residue_constraints_hold
-# Unused: bench/smoke.py checks that the tracer patches this name; drop it once
-# the benchmark traces localization.localize (ROADMAP item 1).
+# Unused here: check_tracer in bench/smoke.py reads fpkit.search.residue_sum.
 from .localization import residue_sum  # noqa: F401
 
 

@@ -883,6 +883,10 @@ def test_arguments_without_a_command_go_through_the_top_level_parser(capsys):
     code, out, err = run(capsys, "frobnicate", "x")
     assert (code, out) == (2, "")
     assert err.startswith(TOP_USAGE + "fpkit: error: argument command: invalid choice: 'frobnicate'")
+    for option in ("-x", "--bogus"):
+        assert run(capsys, option) == (
+            2, "", TOP_USAGE + f"fpkit: error: unrecognized arguments: {option}\n"
+        )
     assert run(capsys, "--version") == (0, "fpkit 0.1.0\n", "")
     code, out, err = run(capsys, "-h")
     assert (code, err) == (0, "")

@@ -309,11 +309,6 @@ def test_bundle_weights_name_the_first_bad_value():
     assert BundleWeights([0, Weight(2)]).values == (0, 2)
 
 
-def test_tangent_character_counts_weights():
-    datum = FixedPointDatum("P1", (-3, -1, -1))
-    assert datum.tangent_character().fmt("t") == "t^-3 + 2t^-1"
-
-
 @given(fixed_point_data())
 def test_round_trip_is_idempotent(data):
     text = serialize(data)

@@ -205,10 +205,10 @@ def test_k_coefficients_reference_values():
 def test_k_coefficients_invert_the_expansion():
     chi = chi_y_from_data(linear_pn((0, 2, 5, 6)))
     coefficients = k_coefficients(chi, 3)
-    shifted = LaurentPoly({0: 1, 1: 1})
-    rebuilt = LaurentPoly()
-    for j, value in enumerate(coefficients):
-        rebuilt = rebuilt + value * shifted**j
+    # chi = sum_j k_j (1 + y)^j, so its y^i coefficient is sum_j k_j C(j, i)
+    rebuilt = LaurentPoly(
+        (i, sum(k * math.comb(j, i) for j, k in enumerate(coefficients))) for i in range(4)
+    )
     assert rebuilt == chi
 
 
