@@ -16,6 +16,7 @@ import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (
@@ -29,21 +30,18 @@ from .core import (
     to_json,
     validate,
 )
-from .hattori import (
-    BundleDerivationError,
-    RigidityVerdict,
-    first_chern_candidates,
-    hattori_verdict,
-)
-from .laurent import LaurentPoly
 from .localization import (
     c1cn1_from_k2,
     chi_y_from_data,
     k_coefficients,
     residue_sum,
 )
-from .models import linear_pn, pair_restriction_check
-from .search import SearchSpec, rigidity_experiment
+
+# hattori, models and search are imported inside the commands that run
+# them, so that starting the CLI, and every other command, skips them
+if TYPE_CHECKING:
+    from .hattori import RigidityVerdict
+    from .laurent import LaurentPoly
 
 SCHEMA_VERSION = "1"
 
@@ -182,6 +180,8 @@ def _verdict_payload(verdict: RigidityVerdict) -> dict:
 
 
 def cmd_hattori(args: argparse.Namespace) -> int:
+    from .hattori import BundleDerivationError, hattori_verdict
+
     data = _load(args.path)
     try:
         verdict = hattori_verdict(data)
@@ -195,6 +195,8 @@ def cmd_hattori(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    from .models import linear_pn
+
     weights = _parse_weights(args.weights)
     if args.n is not None and args.n != len(weights) - 1:
         raise ValidationError(
@@ -215,6 +217,8 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
+    from .models import pair_restriction_check
+
     ambient = _load(args.ambient)
     hypersurface = _load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
@@ -239,6 +243,8 @@ def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> d
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchSpec, rigidity_experiment
+
     override = os.environ.get("FPKIT_MAX_LEAVES")
     try:
         max_leaves = SearchSpec.max_leaves if override is None else int(override)
@@ -284,6 +290,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_c1candidates(args: argparse.Namespace) -> int:
+    from .hattori import first_chern_candidates
+
     document = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,

@@ -294,9 +294,17 @@ def loads(text: str) -> FixedPointData:
 
 
 def load(path) -> FixedPointData:
-    """Validate the JSON interchange document at ``path``."""
+    """Validate the JSON interchange document at ``path``.
+
+    A file that is not UTF-8 raises ValidationError, as a malformed document
+    does; a file that cannot be opened raises OSError.
+    """
     with open(path, "r", encoding="utf-8") as handle:  # loads skips a leading BOM
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return loads(text)
 
 
 def to_document(data: FixedPointData) -> dict[str, Any]:

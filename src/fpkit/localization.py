@@ -214,6 +214,12 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
 
     The constant coefficient equals the Euler characteristic when the input
     polynomial came from fixed-point data.
+
+    With X = y + 1, chi(X - 1) = sum_i c_i (X - 1)^i is one integer at
+    X = 2^bits by Horner (each step multiplies by X - 1: a shift and a
+    subtraction).  Its n + 1 digits (:func:`_balanced_digits`) are the
+    coefficients k_j, as |k_j| = |sum_i c_i C(i, j) (-1)^(i-j)| is at most
+    2^n sum_i |c_i|, below 2^(bits - 2).
     """
     n = _check_int(n, "dimension", 0)
     if not isinstance(chi, LaurentPoly):
@@ -223,14 +229,12 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
             raise ValidationError("genus input must be a polynomial (no negative powers)")
         if chi.degree() > n:
             raise ValidationError(f"polynomial degree {chi.degree()} exceeds n = {n}")
-    values = [0] * (n + 1)
-    for i, c in chi.terms:
-        # term runs through c * C(i, j) * (-1)^(i - j); each step divides exactly
-        term = -c if i % 2 else c
-        for j in range(i + 1):
-            values[j] += term
-            term = -term * (i - j) // (j + 1)
-    return tuple(values)
+    coefficients = chi.coefficients()
+    bits = 2 + n + sum(map(abs, coefficients.values())).bit_length()
+    acc = 0
+    for i in range(n, -1, -1):
+        acc = (acc << bits) - acc + coefficients.get(i, 0)
+    return tuple(_balanced_digits(acc, bits, n + 1))
 
 
 def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:

@@ -653,7 +653,7 @@ def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
         counterexamples=((data, hattori_verdict(data)),),
         hypothesis_failures=(),
     )
-    monkeypatch.setattr("fpkit.cli.rigidity_experiment", lambda spec: experiment)
+    monkeypatch.setattr("fpkit.search.rigidity_experiment", lambda spec: experiment)
     code, out, err = run(capsys, "search", "--n", "2", "--bound", "3")
     assert (code, err) == (1, "")
     assert out == COUNTEREXAMPLE_STDOUT

@@ -291,6 +291,16 @@ def test_load_skips_a_byte_order_mark(tmp_path):
         load(path)
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    text = serialize(linear_pn((0, 2, 5)))
+    path.write_bytes(text.replace('"P1"', '"P\u00e9"').encode("latin-1"))
+    with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(path))}: "):
+        load(path)
+    with pytest.raises(FileNotFoundError):
+        load(tmp_path / "missing.json")
+
+
 def test_strings_skip_one_leading_byte_order_mark():
     text = serialize(linear_pn((0, 2, 5)))
     assert loads("\ufeff" + text) == linear_pn((0, 2, 5))

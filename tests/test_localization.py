@@ -203,13 +203,19 @@ def test_k_coefficients_reference_values():
 
 
 def test_k_coefficients_invert_the_expansion():
-    chi = chi_y_from_data(linear_pn((0, 2, 5, 6)))
-    coefficients = k_coefficients(chi, 3)
-    # chi = sum_j k_j (1 + y)^j, so its y^i coefficient is sum_j k_j C(j, i)
-    rebuilt = LaurentPoly(
-        (i, sum(k * math.comb(j, i) for j, k in enumerate(coefficients))) for i in range(4)
-    )
-    assert rebuilt == chi
+    cases = [
+        (chi_y_from_data(linear_pn((0, 2, 5, 6))), 3),
+        # alternating signs make every |k_j| its largest, C(n + 1, j + 1) * c
+        (LaurentPoly((i, (-1) ** i * (2**64 - 1)) for i in range(41)), 40),
+    ]
+    for chi, n in cases:
+        coefficients = k_coefficients(chi, n)
+        # chi = sum_j k_j (1 + y)^j, so its y^i coefficient is sum_j k_j C(j, i)
+        rebuilt = LaurentPoly(
+            (i, sum(k * math.comb(j, i) for j, k in enumerate(coefficients)))
+            for i in range(n + 1)
+        )
+        assert rebuilt == chi
 
 
 def sympy_k_coefficients(sympy, chi, n):
