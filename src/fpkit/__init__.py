@@ -24,9 +24,8 @@ _EXPORTS = {
     ),
     "hattori": (
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",
-        "ConditionCError", "DistinctnessReport", "PointMismatch", "RigidityVerdict",
-        "check_condition_c", "derive_bundle_weights", "distinctness_analysis",
-        "first_chern_candidates", "hattori_verdict",
+        "ConditionCError", "PointMismatch", "RigidityVerdict", "check_condition_c",
+        "derive_bundle_weights", "first_chern_candidates", "hattori_verdict",
     ),
     "laurent": ("LaurentPoly",),
     "localization": (

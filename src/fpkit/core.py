@@ -161,12 +161,7 @@ class FixedPointData:
                 raise ValidationError(f'duplicate point label "{point.label}"')
             labels.add(point.label)
         if self.bundle is not None:
-            _check_bundle(self.bundle, kind="BundleWeights or None")
-            if len(self.bundle) != len(self.points):
-                raise ValidationError(
-                    f"bundle weight sequence length {len(self.bundle)} does not match "
-                    f"point count {len(self.points)}"
-                )
+            _check_bundle(self.bundle, len(self.points), "BundleWeights or None")
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[tuple[int, ...]], bundle=None) -> FixedPointData:

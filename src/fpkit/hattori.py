@@ -8,8 +8,7 @@ conclusion holds (every weight multiset has the pairwise-difference form of
 the standard projective model, with top bundle power exactly 1).  The
 conclusion is decided first: when it holds, the top power is 1 by the
 Lagrange identity, so only a failing verdict pays for a localization sum.
-The module also houses the Vandermonde grouping argument for distinctness
-of weight sums and the quadratic solver for the admissible first Chern
+The module also houses the quadratic solver for the admissible first Chern
 numbers.
 """
 
@@ -48,27 +47,6 @@ class ConditionCCertificate:
 
     k0: int
     offset: int
-
-
-@dataclasses.dataclass(frozen=True)
-class DistinctnessReport:
-    """Outcome of grouping points by equal weight sum.
-
-    ``group_mu`` holds the reciprocal-product sum of each group.  When the
-    number of groups is at most n and the residue constraints hold,
-    ``vandermonde_applies`` is set: the constraints give sum_s s^r mu_s = 0
-    for every r below the number of groups, a homogeneous system whose
-    Vandermonde matrix over the distinct weight sums is invertible, so every
-    mu vanishes.  A group with a single member then cannot occur, since its
-    mu would be a lone nonzero reciprocal.
-    """
-
-    verdict: str
-    groups: tuple[tuple[str, ...], ...]
-    group_sums: tuple[int, ...]
-    group_mu: tuple[Fraction, ...]
-    vandermonde_applies: bool
-    top_power: Fraction
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,47 +146,6 @@ def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> Bundle
             )
         values.append(quotient)
     return BundleWeights(tuple(values))
-
-
-def distinctness_analysis(
-    data: FixedPointData, *, require_residue_constraints: bool = True
-) -> DistinctnessReport:
-    """Group points by equal weight sum and run the Vandermonde argument.
-
-    With the residue constraints verified and at most n distinct weight
-    sums, the homogeneous Vandermonde system forces every group's mu to
-    vanish, so the top power vanishes as well; data with nonzero top power
-    must therefore have pairwise distinct weight sums.  By default the
-    residue constraints are enforced as a precondition; pass
-    ``require_residue_constraints=False`` to inspect data that fails them
-    (for example a single point, whose lone constraint can never hold).
-    """
-    constraints_ok = localization.residue_constraints_hold(data)
-    if require_residue_constraints and not constraints_ok:
-        raise ValidationError(
-            "residue constraints fail on this data; pass "
-            "require_residue_constraints=False to analyze it anyway"
-        )
-    grouped: dict[int, list[str]] = {}
-    for point in data.points:
-        grouped.setdefault(point.weight_sum, []).append(point.label)
-    sums = tuple(sorted(grouped))
-    groups = tuple(tuple(grouped[s]) for s in sums)
-    # one indicator column per group: its mu is the group's reciprocal-product sum
-    mu = tuple(
-        localization.localize(
-            data, ([int(p.weight_sum == s) for p in data.points] for s in sums)
-        )
-    )
-    verdict = "distinct" if len(groups) == data.point_count else "grouped"
-    return DistinctnessReport(
-        verdict=verdict,
-        groups=groups,
-        group_sums=sums,
-        group_mu=mu,
-        vandermonde_applies=constraints_ok and len(groups) <= data.n,
-        top_power=localization.c1_power(data),
-    )
 
 
 def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:

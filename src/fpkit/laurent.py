@@ -44,19 +44,6 @@ class LaurentPoly:
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Largest exponent; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[-1][0]
-
-    def is_polynomial(self) -> bool:
-        """True when no negative exponents occur."""
-        return not self.terms or self.terms[0][0] >= 0
-
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

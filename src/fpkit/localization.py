@@ -224,11 +224,11 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
     n = _check_int(n, "dimension", 0)
     if not isinstance(chi, LaurentPoly):
         raise ValidationError(f"genus input must be a LaurentPoly, got {chi!r}")
-    if not chi.is_zero():
-        if not chi.is_polynomial():
+    if chi.terms:  # sorted by exponent, so its ends are the lowest and highest
+        if chi.terms[0][0] < 0:
             raise ValidationError("genus input must be a polynomial (no negative powers)")
-        if chi.degree() > n:
-            raise ValidationError(f"polynomial degree {chi.degree()} exceeds n = {n}")
+        if chi.terms[-1][0] > n:
+            raise ValidationError(f"polynomial degree {chi.terms[-1][0]} exceeds n = {n}")
     coefficients = chi.coefficients()
     bits = 2 + n + sum(map(abs, coefficients.values())).bit_length()
     acc = 0

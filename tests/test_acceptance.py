@@ -20,7 +20,6 @@ from fpkit.core import (
 from fpkit.hattori import (
     check_condition_c,
     derive_bundle_weights,
-    distinctness_analysis,
     first_chern_candidates,
     hattori_verdict,
 )
@@ -33,6 +32,8 @@ from fpkit.localization import (
     chi_y_hrr_projective,
     k_coefficients,
     line_bundle_power,
+    localize,
+    residue_constraints_hold,
     residue_sum,
 )
 from fpkit.models import linear_pn, pair_restriction_check
@@ -186,20 +187,30 @@ def test_criterion_10_search_rigidity_experiment():
 
 
 def test_criterion_11_distinctness():
+    # on data meeting the residue constraints, a nonzero top power forces
+    # pairwise distinct weight sums
+    nonzero = 0
     for spec in (SearchSpec(n=1, bound=10), SearchSpec(n=2, bound=4)):
         for data in enumerate_survivors(spec):
             if c1_power(data) != 0:
-                assert distinctness_analysis(data).verdict == "distinct"
+                nonzero += 1
+                sums = [p.weight_sum for p in data.points]
+                assert len(set(sums)) == len(sums), data
+    assert nonzero == 16
 
-    grouped = FixedPointData(
-        2,
-        (
-            FixedPointDatum("P1", (1, 2)),
-            FixedPointDatum("P2", (-1, 4)),
-            FixedPointDatum("P3", (-1, 4)),
-        ),
-    )
-    report = distinctness_analysis(grouped)
-    assert report.verdict == "grouped"
-    assert report.group_mu == (Fraction(0),)
-    assert report.vandermonde_applies
+    # with at most n distinct weight sums the residue constraints r < n
+    # are a Vandermonde system in the groups' reciprocal-product sums, so each
+    # group's sum and the top power vanish.  One group of weight sum 3
+    # (1/2 - 1/4 - 1/4), and two groups of weight sums -3 and 3
+    grouped = ((1, 2), (-1, 4), (-1, 4))
+    two_groups = (*grouped, (-1, -2), (1, -4), (1, -4))
+    for rows in (grouped, two_groups):
+        data = FixedPointData(
+            2, tuple(FixedPointDatum(f"P{i}", w) for i, w in enumerate(rows, 1))
+        )
+        sums = sorted({p.weight_sum for p in data.points})
+        assert residue_constraints_hold(data)
+        assert len(sums) <= data.n
+        columns = [[int(p.weight_sum == s) for p in data.points] for s in sums]
+        assert localize(data, columns) == [0] * len(sums)
+        assert c1_power(data) == 0

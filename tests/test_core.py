@@ -133,7 +133,7 @@ def test_smallest_linear_document_is_valid():
                 "fixed_points": [{"label": "P1", "weights": [1]}],
                 "bundle_weights": [1, 2],
             },
-            "bundle weight sequence length",
+            "bundle weight count 2",
         ),
         (
             {"n": 1, "fixed_points": [{"label": "P1", "weights": [1]}], "x": 0},

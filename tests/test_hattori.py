@@ -19,25 +19,11 @@ from fpkit.hattori import (
     PointMismatch,
     check_condition_c,
     derive_bundle_weights,
-    distinctness_analysis,
     first_chern_candidates,
     hattori_verdict,
 )
 from fpkit.models import linear_pn
 from fpkit.search import SearchSpec, enumerate_survivors
-
-
-def grouped_exhibit():
-    # three points sharing weight sum 3 with reciprocal products
-    # 1/2 - 1/4 - 1/4 = 0, so the residue constraints hold
-    return FixedPointData(
-        2,
-        (
-            FixedPointDatum("P1", (1, 2)),
-            FixedPointDatum("P2", (-1, 4)),
-            FixedPointDatum("P3", (-1, 4)),
-        ),
-    )
 
 
 def test_condition_c_certificate_on_reference_model():
@@ -153,52 +139,6 @@ def test_quasi_ample_rejects_zero_top_power():
     verdict = hattori_verdict(data, BundleWeights((0, 1, -1)))
     assert verdict.bundle_power == 0
     assert not verdict.quasi_ample
-
-
-def test_distinctness_on_reference_model():
-    report = distinctness_analysis(linear_pn((0, 1, 3)))
-    assert report.verdict == "distinct"
-    assert report.group_sums == (-4, -1, 5)
-    assert report.groups == (("P1",), ("P2",), ("P3",))
-    assert not report.vandermonde_applies
-    assert report.top_power == 9
-
-
-def test_distinctness_on_grouped_exhibit():
-    report = distinctness_analysis(grouped_exhibit())
-    assert report.verdict == "grouped"
-    assert report.groups == (("P1", "P2", "P3"),)
-    assert report.group_mu == (Fraction(0),)
-    assert report.vandermonde_applies
-    assert report.top_power == 0
-
-
-def test_distinctness_two_group_exhibit():
-    # two groups of weight sums +-3, each with vanishing mu; the 2x2
-    # Vandermonde system on nodes (-3, 3) forces both
-    points = (
-        FixedPointDatum("P1", (1, 2)),
-        FixedPointDatum("P2", (-1, 4)),
-        FixedPointDatum("P3", (-1, 4)),
-        FixedPointDatum("P4", (-1, -2)),
-        FixedPointDatum("P5", (1, -4)),
-        FixedPointDatum("P6", (1, -4)),
-    )
-    report = distinctness_analysis(FixedPointData(2, points))
-    assert report.verdict == "grouped"
-    assert report.group_sums == (-3, 3)
-    assert report.group_mu == (Fraction(0), Fraction(0))
-    assert report.vandermonde_applies
-
-
-def test_distinctness_precondition_and_override():
-    single = FixedPointData(1, (FixedPointDatum("A", (2,)),))
-    with pytest.raises(ValidationError, match="residue constraints"):
-        distinctness_analysis(single)
-    report = distinctness_analysis(single, require_residue_constraints=False)
-    assert report.verdict == "distinct"
-    assert not report.vandermonde_applies
-    assert report.group_mu == (Fraction(1, 2),)
 
 
 def test_first_chern_candidates_reference_rows():

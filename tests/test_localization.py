@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fpkit import cli
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
-from fpkit.hattori import check_condition_c, distinctness_analysis, first_chern_candidates
+from fpkit.hattori import check_condition_c, first_chern_candidates
 from fpkit.laurent import LaurentPoly
 from fpkit import localization
 from fpkit.localization import (
@@ -24,6 +24,7 @@ from fpkit.localization import (
     chi_y_hrr_projective,
     k_coefficients,
     line_bundle_power,
+    localize,
     residue_constraints_hold,
     residue_sum,
 )
@@ -38,12 +39,22 @@ def test_residue_sums_on_reference_model():
     data = linear_pn((0, 1, 3))
     assert residue_sum(data, 0) == 0
     assert residue_sum(data, 1) == 0
-    assert residue_sum(data, 2) == 9
+    assert residue_sum(data, 2) == c1_power(data) == 9
     assert residue_sum(data, 0) == Fraction(1, 3) - Fraction(1, 2) + Fraction(1, 6)
+    # the weight sums are distinct, so each one's indicator column reads one
+    # point's reciprocal weight product
+    sums = [p.weight_sum for p in data.points]
+    assert sums == [-4, -1, 5]
+    columns = [[int(t == s) for t in sums] for s in sums]
+    assert localize(data, columns) == [Fraction(1, 3), Fraction(-1, 2), Fraction(1, 6)]
 
 
 def test_residue_sum_smallest_model():
     assert residue_sum(linear_pn((0, 1)), 1) == 2
+    # a single point meets no residue constraint: its lone sum is 1/2, not 0
+    single = FixedPointData(1, (FixedPointDatum("A", (2,)),))
+    assert not residue_constraints_hold(single)
+    assert localize(single, [[1]]) == [Fraction(1, 2)]
 
 
 def test_residue_sum_rejects_negative_power():
@@ -434,11 +445,12 @@ def test_kernel_matches_plain_fraction_sums(data, draw):
         data, [a**n for a in bundle]
     )
 
-    sums = sorted({p.weight_sum for p in data.points})
-    report = distinctness_analysis(data, require_residue_constraints=False)
-    assert report.group_mu == tuple(
-        plain_sum(data, [int(p.weight_sum == s) for p in data.points]) for s in sums
-    )
+    # one indicator column per weight sum: its group's reciprocal-product sum
+    columns = [
+        [int(p.weight_sum == s) for p in data.points]
+        for s in sorted({p.weight_sum for p in data.points})
+    ]
+    assert localize(data, columns) == [plain_sum(data, column) for column in columns]
 
 
 @given(unrealizable_data(), st.data())
@@ -500,11 +512,13 @@ def test_report_computes_the_common_denominator_once(monkeypatch):
     assert reads[0] == data.point_count
 
 
-def test_distinctness_analysis_shares_the_common_denominator(monkeypatch):
+def test_localize_shares_the_common_denominator(monkeypatch):
     data = linear_pn((0, 1, 3, 7, 12))
+    sums = [p.weight_sum for p in data.points]
     reads = count_reads(monkeypatch, "weight_product")
-    report = distinctness_analysis(data)
-    assert report.top_power == 5**4
+    columns = [[s**r for s in sums] for r in range(data.n + 1)]
+    assert localize(data, columns) == [0] * data.n + [5**4]
+    # one lcm over the five weight products for all five columns
     assert reads[0] == data.point_count
 
 
@@ -614,8 +628,9 @@ def test_c1cn1_integer_path_matches_the_fraction_path():
 
 def test_a_vanishing_residue_sum_is_a_fraction_zero():
     data = linear_pn((0, 2, 5, 7))
-    for power in range(3):
-        value = residue_sum(data, power)
+    values = [residue_sum(data, power) for power in range(3)]
+    values += localize(data, [[1] * data.point_count])
+    for value in values:
         assert type(value) is Fraction and value == 0 and value is _ZERO
     assert residue_sum(data, 3) == 4**3
 

@@ -20,9 +20,8 @@ PUBLIC = {
     ],
     "hattori": [
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",
-        "ConditionCError", "DistinctnessReport", "PointMismatch", "RigidityVerdict",
-        "check_condition_c", "derive_bundle_weights", "distinctness_analysis",
-        "first_chern_candidates", "hattori_verdict",
+        "ConditionCError", "PointMismatch", "RigidityVerdict", "check_condition_c",
+        "derive_bundle_weights", "first_chern_candidates", "hattori_verdict",
     ],
     "laurent": ["LaurentPoly"],
     "localization": [
@@ -69,7 +68,7 @@ def test_cli_starts_without_the_rigidity_model_and_search_modules():
 
 def test_public_names_are_unchanged_and_in_order():
     assert fpkit.__all__ == ["__version__", *DEFINED_IN]
-    assert len(fpkit.__all__) == 46
+    assert len(fpkit.__all__) == 44
 
 
 def test_each_public_name_is_its_module_object():

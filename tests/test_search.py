@@ -20,6 +20,7 @@ from fpkit.core import (
     to_document,
     validate,
 )
+from fpkit.hattori import derive_bundle_weights
 from fpkit.localization import residue_constraints_hold
 from fpkit.models import linear_pn
 from fpkit.search import (
@@ -197,6 +198,18 @@ def test_rigidity_experiment_partitions_survivors():
     )
     for _, reason in experiment.hypothesis_failures:
         assert reason.startswith(recognized)
+
+
+@pytest.mark.parametrize("n, bound, repeated", [(2, 8, 4), (3, 4, 32), (2, 12, 10)])
+def test_quasi_ampleness_fails_on_survivors_only_by_repeated_weights(n, bound, repeated):
+    # distinct derived weights and a zero top power would make the residue
+    # constraints an invertible Vandermonde system, as the experiment argues
+    reason = "derived bundle weights are not pairwise distinct"
+    experiment = rigidity_experiment(SearchSpec(n=n, bound=bound))
+    flagged = [data for data, why in experiment.hypothesis_failures if why == reason]
+    assert len(flagged) == repeated
+    for data in flagged:
+        assert not derive_bundle_weights(data).pairwise_distinct(), data
 
 
 def test_survivor_meeting_every_hypothesis_but_failing_is_a_counterexample(
