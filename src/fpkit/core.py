@@ -383,9 +383,9 @@ def betti_numbers(data: FixedPointData) -> tuple[int, ...]:
     b_{2p} counts the fixed points with exactly p negative weights; the
     entries always sum to the number of fixed points.
     """
-    counts = [0] * (data.n + 1)
+    counts, negatives = [0] * (data.n + 1), bisect.bisect_left
     for p in data.points:
-        counts[p.negative_count] += 1
+        counts[negatives(p.weights, 0)] += 1  # p.negative_count, without the property
     return tuple(counts)
 
 

@@ -41,6 +41,19 @@ class LaurentPoly:
         terms = tuple(sorted((k, c) for k, c in merged.items() if c != 0))
         object.__setattr__(self, "terms", terms)
 
+    @classmethod
+    def _from_terms(cls, terms: tuple[tuple[int, int], ...]) -> LaurentPoly:
+        """A polynomial fpkit builds itself, without the normalizing pass.
+
+        The caller guarantees that ``terms`` is a tuple of ``(exponent,
+        coefficient)`` pairs of exact ints, with the exponents strictly
+        ascending and every coefficient nonzero; the result equals, and
+        hashes like, ``LaurentPoly(terms)``.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)
 

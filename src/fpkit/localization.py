@@ -6,11 +6,13 @@ rational arithmetic over the lcm of the weight products.  That lcm and its
 cofactors are computed once per data object, not once per sum, and so is
 the running-product table behind :func:`residue_sum`; every other sum goes
 through :func:`localize`.  A Chern monomial reads the elementary symmetric
-functions of each point's weights, up to its largest index, off one packed
-integer product with one big-integer step per weight.  The genus polynomial
-of the standard projective model is also computed independently from its
-characteristic power series, as a residue sum evaluated as one packed
-integer and read with the same digit reader, to check the two routes.
+functions of each point's weights off one or two packed integer products,
+with one big-integer step per weight; its packing route is chosen by bit
+cost, once per call.  The genus polynomial from fixed-point data is
+assembled from the Betti counts.  That of the standard projective model is
+also computed independently from its characteristic power series, as a
+residue sum evaluated as one packed integer and assembled from its digits,
+which the same digit reader reads, to check the two routes.
 """
 
 from __future__ import annotations
@@ -106,6 +108,19 @@ def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
     return digits
 
 
+def _packing(n: int, width: int, top: int, low: int) -> tuple[int, int, bool]:
+    """The packing :func:`_elementary_symmetric` takes for sigma_low..sigma_top
+    of n values of absolute value at most ``width``: its digit width, its
+    digit count and whether it runs backward.  Its bits, width times count,
+    are the cost that :func:`chern_monomial` compares its routes by.
+    """
+    bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
+    back = 2 + min(n, (n - low) * n.bit_length()) + n * width.bit_length()
+    if back * (n - low + 1) < bits * (top + 1):
+        return back, n - low + 1, True
+    return bits, top + 1, False
+
+
 def _elementary_symmetric(values: Sequence[int], top: int, low: int = 0) -> list[int]:
     """Entry j is sigma_j of ``values`` for low <= j <= top <= len(values);
     an entry below ``low`` is sigma_j or 0.
@@ -119,21 +134,18 @@ def _elementary_symmetric(values: Sequence[int], top: int, low: int = 0) -> list
     exponent is enough.  Backward, prod (v + z) modulo z^(n - low + 1) is
     taken the same way: digit k is sigma_(n - k), and each j >= low has
     |sigma_j| <= min(2^n, n^(n - low)) W^n, which sets its width.  Taking
-    the direction with fewer bits packs few digits when all indices are near n.
+    the direction with fewer bits (:func:`_packing`) packs few digits when
+    all indices are near n.
     """
-    n, width = len(values), max(map(abs, values))
-    bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
-    back = 2 + min(n, (n - low) * n.bit_length()) + n * width.bit_length()
-    if back * (n - low + 1) < bits * (top + 1):
-        mask, acc = (1 << back * (n - low + 1)) - 1, 1
+    bits, count, backward = _packing(len(values), max(map(abs, values)), top, low)
+    mask, acc = (1 << bits * count) - 1, 1
+    if backward:
         for v in values:
-            acc = ((acc << back) + acc * v) & mask
-        return [0] * low + _balanced_digits(acc, back, n - low + 1)[::-1][: top - low + 1]
-    mask = (1 << bits * (top + 1)) - 1
-    acc = 1
+            acc = ((acc << bits) + acc * v) & mask
+        return [0] * low + _balanced_digits(acc, bits, count)[::-1][: top - low + 1]
     for v in values:
         acc = (acc + (acc * v << bits)) & mask
-    return _balanced_digits(acc, bits, top + 1)
+    return _balanced_digits(acc, bits, count)
 
 
 def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
@@ -144,14 +156,43 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     polynomial of the point's weights; the product over the monomial's
     indices is divided by the weight product and summed exactly.  The data
     is taken at face value; no realizability check is attempted.
+
+    The sigma_j come from one packing over every index, or from two: one
+    up to the k-th smallest distinct index and one from the next, so that
+    [n - 1, 1] packs two low and two high digits instead of n.  The route
+    with the fewest bits (:func:`_packing`, at the largest weight size of
+    the data) is chosen once per call; a tie keeps the one packing.
     """
     indices = tuple(_check_int(i, "Chern index", 1) for i in indices)
     if not indices:
         raise ValidationError("a Chern monomial needs at least one index")
     if sum(indices) != data.n:
         raise ValidationError(f"monomial degree {sum(indices)} does not match n = {data.n}")
-    top, low = max(indices), min(indices)
-    sigmas = [_elementary_symmetric(p.weights, top, low) for p in data.points]
+    n, top, low = data.n, max(indices), min(indices)
+    rows = [p.weights for p in data.points]  # each ascending, so its ends bound it
+    width = max(max(map(operator.itemgetter(-1), rows)), -min(map(operator.itemgetter(0), rows)))
+
+    def cost(upper: int, lower: int) -> int:
+        bits, count, _ = _packing(n, width, upper, lower)
+        return bits * count
+
+    best, cut = cost(top, low), None
+    # a split's packing from its upper index costs at least cost(top, top)
+    if cost(top, top) < best:
+        distinct = sorted(set(indices))
+        for below, above in zip(distinct, distinct[1:]):
+            split = cost(below, low) + cost(top, above)
+            if split < best:
+                best, cut = split, (below, above)
+    if cut is None:
+        sigmas = [_elementary_symmetric(w, top, low) for w in rows]
+    else:
+        below, above = cut  # entries above ``below`` come from the second packing
+        sigmas = [
+            _elementary_symmetric(w, below, low)
+            + _elementary_symmetric(w, top, above)[below + 1 :]
+            for w in rows
+        ]
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
 
@@ -169,7 +210,8 @@ def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
 def chi_y_from_data(data: FixedPointData) -> LaurentPoly:
     """The genus polynomial from fixed-point data: the sum over d of
     (-1)^d b_{2d} y^d, where b_{2d} counts the points with d negative weights."""
-    return LaurentPoly((d, (-1) ** d * b) for d, b in enumerate(betti_numbers(data)))
+    terms = [(d, -b if d & 1 else b) for d, b in enumerate(betti_numbers(data)) if b]
+    return LaurentPoly._from_terms(tuple(terms))
 
 
 # -- residue route for the standard projective model -------------------------
@@ -206,7 +248,8 @@ def chi_y_hrr_projective(n: int) -> LaurentPoly:
         binomial = binomial * (n - j + 1) // (j + 1)  # c_(n-j)
         power += power << bits
         acc = binomial * power - (acc << bits)
-    return LaurentPoly(enumerate(_balanced_digits(acc, bits, n + 1)))
+    digits = enumerate(_balanced_digits(acc, bits, n + 1))
+    return LaurentPoly._from_terms(tuple([(d, c) for d, c in digits if c]))
 
 
 def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:

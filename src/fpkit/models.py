@@ -6,20 +6,20 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .core import BundleWeights, FixedPointData, ValidationError, _check_int
 
 
-def _pairwise_differences(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def _pairwise_differences(values: Sequence[int]) -> list[tuple[int, ...]]:
     """Row i is a_i - a_j over every j != i, ascending: the values are sorted
     once, descending, and each row drops its one j = i zero (a repeated
     value keeps its other zeros)."""
     order = sorted(values, reverse=True)
-    for a in values:
-        row = [a - b for b in order]
+    rows = [[a - b for b in order] for a in values]
+    for row in rows:
         row.remove(0)
-        yield tuple(row)
+    return [*map(tuple, rows)]
 
 
 def linear_pn(values: Sequence[int]) -> FixedPointData:

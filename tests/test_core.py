@@ -212,6 +212,23 @@ def test_betti_numbers_count_negative_weights():
     assert not projective_profile(flat)
 
 
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9).filter(bool), min_size=n, max_size=n),
+            min_size=1, max_size=6,
+        ))
+    )
+)
+def test_betti_numbers_count_each_point_by_its_negative_count(case):
+    n, rows = case
+    data = FixedPointData(n, tuple(FixedPointDatum(f"P{i}", row) for i, row in enumerate(rows)))
+    counts = [0] * (n + 1)
+    for point in data.points:
+        counts[point.negative_count] += 1
+    assert betti_numbers(data) == tuple(counts)
+
+
 def test_projective_profile_examples():
     assert projective_profile(linear_pn((0, 1, 3)))
     lopsided = FixedPointData(

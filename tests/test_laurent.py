@@ -48,6 +48,19 @@ def test_degree_and_valuation():
     assert LaurentPoly([(1, 2), (1, -2)]).terms == LaurentPoly().terms == ()
 
 
+@given(st.dictionaries(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-50, max_value=50).filter(bool),
+    max_size=6,
+))
+def test_trusted_terms_equal_the_normalizing_build(coefficients):
+    terms = tuple(sorted(coefficients.items()))
+    trusted, built = LaurentPoly._from_terms(terms), LaurentPoly(coefficients)
+    assert trusted == built and hash(trusted) == hash(built)
+    assert trusted.terms == built.terms == terms
+    assert repr(trusted) == repr(built)
+
+
 def test_fmt_matches_expected_text():
     assert LaurentPoly({0: 1, 1: -1, 2: 1}).fmt() == "1 - y + y^2"
     assert LaurentPoly().fmt() == "0"

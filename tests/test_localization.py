@@ -6,11 +6,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fpkit import cli
-from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError
+from fpkit.core import (
+    BundleWeights,
+    FixedPointData,
+    FixedPointDatum,
+    ValidationError,
+    betti_numbers,
+)
 from fpkit.hattori import check_condition_c, first_chern_candidates
 from fpkit.laurent import LaurentPoly
 from fpkit import localization
@@ -123,7 +129,8 @@ def test_chern_monomial_on_a_large_model_with_spread_weights():
     # 90 points with weights up to about 2000 in size: big packed digits
     rng = random.Random(90)
     data = linear_pn(rng.sample(range(-1000, 1001), 90))
-    for indices in ([89], [1] * 89, [45, 44], [13, 30, 1, 45], [2] * 44 + [1], [7] * 12 + [5]):
+    for indices in ([89], [1] * 89, [45, 44], [13, 30, 1, 45], [2] * 44 + [1], [7] * 12 + [5],
+                    [88, 1], [80, 5, 4], [84, 3, 2]):
         expected = math.prod(math.comb(90, i) for i in indices)
         assert chern_monomial(data, indices) == expected, indices
 
@@ -350,6 +357,35 @@ def test_chi_y_from_data_off_the_projective_profile():
     ))
     assert chi_y_from_data(repeated) == per_point_genus(repeated)
     assert chi_y_from_data(repeated) == LaurentPoly({1: -1, 2: 3})
+
+
+# -- genus polynomials built straight from their terms ------------------------
+
+@given(arbitrary_data())
+@example(FixedPointData(2, (FixedPointDatum("P", (-1, -2)),)))  # b_0 = b_2 = 0
+def test_genus_terms_from_the_betti_counts_equal_the_normalizing_build(data):
+    chi = chi_y_from_data(data)
+    built = LaurentPoly({d: (-1) ** d * b for d, b in enumerate(betti_numbers(data))})
+    assert chi == built and hash(chi) == hash(built)
+    assert all(c for _, c in chi.terms)
+
+
+def test_hrr_terms_from_the_digits_equal_the_normalizing_build(monkeypatch):
+    read = []
+    reader = localization._balanced_digits
+
+    def spy(acc, bits, count):
+        read.append(reader(acc, bits, count))
+        return read[-1]
+
+    monkeypatch.setattr(localization, "_balanced_digits", spy)
+    for n in range(1, 61):
+        read.clear()
+        chi = chi_y_hrr_projective(n)
+        (digits,) = read
+        built = LaurentPoly(enumerate(digits))
+        assert chi == built and hash(chi) == hash(built)
+        assert all(c for _, c in chi.terms)
 
 
 # -- the packed HRR route against its residue formula as a double sum ----------
@@ -675,10 +711,55 @@ def test_chern_monomials_near_n_match_the_oracle(monkeypatch, n):
     rng = random.Random(n)
     data = linear_pn(rng.sample(range(-1000, 1001), n + 1))
     # [k, n - k] runs through [n - 1, 1] and [1, n - 1]
-    for indices in ([n], *([k, n - k] for k in range(1, n))):
-        expected = math.prod(math.comb(n + 1, i) for i in indices)
-        assert chern_monomial(data, indices) == expected, indices
+    for indices in ([n], [n - 5, 3, 2], *([k, n - k] for k in range(1, n))):
+        if min(indices) >= 1:
+            expected = math.prod(math.comb(n + 1, i) for i in indices)
+            assert chern_monomial(data, indices) == expected, indices
     # [n] reads one backward digit per point
     reads = sigma_reads(monkeypatch)
     chern_monomial(data, [n])
     assert reads == [1] * (n + 1)
+    # [n - 1, 1] splits: sigma_0, sigma_1 forward and sigma_(n-1), sigma_n
+    # backward, where one packing would read n or n + 1 digits
+    reads.clear()
+    chern_monomial(data, [n - 1, 1])
+    assert reads == ([2, 2] if n >= 4 else [n]) * (n + 1)
+
+
+def partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield []
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield [part, *rest]
+
+
+def test_chern_monomials_match_brute_force_sums_on_random_data(monkeypatch):
+    rng = random.Random(28)
+    packings = []  # packed products per point of each call: 1, or 2 when split
+    packer = localization._elementary_symmetric
+
+    def spy(values, top, low=0):
+        packings[-1] += 1
+        return packer(values, top, low)
+
+    monkeypatch.setattr(localization, "_elementary_symmetric", spy)
+    for n in range(1, 9):
+        for _ in range(4):
+            width = rng.choice((1, 9, 1000))
+            data = FixedPointData(n, tuple(
+                FixedPointDatum(f"P{i}", [rng.choice((-1, 1)) * rng.randint(1, width)
+                                          for _ in range(n)])
+                for i in range(rng.randint(1, 5))
+            ))
+            sigmas = [brute_elementary_symmetric(p.weights, n) for p in data.points]
+            for indices in partitions(n):
+                expected = sum(
+                    Fraction(math.prod(s[i] for i in indices), p.weight_product)
+                    for s, p in zip(sigmas, data.points)
+                )
+                packings.append(0)
+                assert chern_monomial(data, indices) == expected, (data, indices)
+                packings[-1] //= data.point_count
+    assert set(packings) == {1, 2}

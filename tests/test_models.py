@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, serialize
 from fpkit.hattori import hattori_verdict
 from fpkit.localization import residue_constraints_hold
-from fpkit.models import linear_pn, pair_restriction_check
+from fpkit.models import _pairwise_differences, linear_pn, pair_restriction_check
 
 distinct_entries = st.lists(
     st.integers(min_value=-25, max_value=25), min_size=2, max_size=6, unique=True
@@ -71,6 +71,17 @@ def test_linear_pn_matches_the_pairwise_difference_definition():
         assert [p.weights for p in data.points] == old_linear_pn_weights(entries)
         assert data.labels == tuple(f"P{i + 1}" for i in range(len(entries)))
         assert data.bundle.values == tuple(entries)
+
+
+@given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=9))
+def test_pairwise_differences_drop_exactly_one_zero_per_row(values):
+    # repeated values, as a bundle given to the rigidity verdict may have
+    rows = _pairwise_differences(values)
+    assert rows == [
+        tuple(sorted(a - b for j, b in enumerate(values) if j != i))
+        for i, a in enumerate(values)
+    ]
+    assert [row.count(0) for row in rows] == [values.count(a) - 1 for a in values]
 
 
 @pytest.mark.parametrize(
