@@ -7,12 +7,13 @@ cofactors are computed once per data object, not once per sum, and so is
 the running-product table behind :func:`residue_sum`; every other sum goes
 through :func:`localize`.  A Chern monomial reads the elementary symmetric
 functions of each point's weights off one or two packed integer products,
-with one big-integer step per weight; its packing route is chosen by bit
-cost, once per call.  The genus polynomial from fixed-point data is
-assembled from the Betti counts.  That of the standard projective model is
-also computed independently from its characteristic power series, as a
-residue sum evaluated as one packed integer and assembled from its digits,
-which the same digit reader reads, to check the two routes.
+with one big-integer step per weight; one plan per call, chosen by bit
+cost, says which products every point packs.  The genus polynomial from
+fixed-point data is assembled from the Betti counts.  That of the standard
+projective model is also computed independently from its characteristic
+power series, as a residue sum evaluated as one packed integer and
+assembled from its digits, which the same digit reader reads, to check the
+two routes.
 """
 
 from __future__ import annotations
@@ -108,36 +109,36 @@ def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
     return digits
 
 
-def _packing(n: int, width: int, top: int, low: int) -> tuple[int, int, bool]:
-    """The packing :func:`_elementary_symmetric` takes for sigma_low..sigma_top
-    of n values of absolute value at most ``width``: its digit width, its
-    digit count and whether it runs backward.  Its bits, width times count,
-    are the cost that :func:`chern_monomial` compares its routes by.
+def _packing(n: int, width: int, top: int, low: int, backward: bool) -> tuple[int, int]:
+    """The digit width and count with which :func:`_elementary_symmetric`
+    packs sigma_low..sigma_top of n values of absolute value at most W =
+    ``width`` in the given direction; their product is the cost, in bits,
+    that :func:`chern_monomial` compares its plans by.
+
+    Forward, the digits are sigma_0..sigma_top, and |sigma_j| <= C(n, j) W^j
+    is at most (nW)^top < 2^(top * bit_length(nW)) and 2^n W^top <
+    2^(n + top * bit_length(W)), so 2 + the smaller exponent bits hold each.
+    Backward, they are sigma_n..sigma_low, and each j >= low has |sigma_j|
+    <= min(2^n, n^(n - low)) W^n, which sets the width the same way.
     """
-    bits = 2 + min(top * (n * width).bit_length(), n + top * width.bit_length())
-    back = 2 + min(n, (n - low) * n.bit_length()) + n * width.bit_length()
-    if back * (n - low + 1) < bits * (top + 1):
-        return back, n - low + 1, True
-    return bits, top + 1, False
+    if backward:
+        return 2 + min(n, (n - low) * n.bit_length()) + n * width.bit_length(), n - low + 1
+    return 2 + min(top * (n * width).bit_length(), n + top * width.bit_length()), top + 1
 
 
-def _elementary_symmetric(values: Sequence[int], top: int, low: int = 0) -> list[int]:
+def _elementary_symmetric(
+    values: Sequence[int], top: int, low: int = 0, backward: bool = False
+) -> list[int]:
     """Entry j is sigma_j of ``values`` for low <= j <= top <= len(values);
     an entry below ``low`` is sigma_j or 0.
 
     Forward, prod (1 + v z) is one integer at z = 2^bits, taken modulo
     2^(bits (top + 1)) with one big-integer step per weight; its lowest
-    top + 1 digits (:func:`_balanced_digits`) are sigma_0..sigma_top if each
-    is below 2^(bits - 1) in absolute value.  With n values and W = max |v|,
-    |sigma_j| <= C(n, j) W^j is at most (nW)^top < 2^(top * bit_length(nW))
-    and 2^n W^top < 2^(n + top * bit_length(W)), so bits = 2 + the smaller
-    exponent is enough.  Backward, prod (v + z) modulo z^(n - low + 1) is
-    taken the same way: digit k is sigma_(n - k), and each j >= low has
-    |sigma_j| <= min(2^n, n^(n - low)) W^n, which sets its width.  Taking
-    the direction with fewer bits (:func:`_packing`) packs few digits when
-    all indices are near n.
+    top + 1 digits (:func:`_balanced_digits`) are sigma_0..sigma_top.
+    Backward, prod (v + z) modulo z^(n - low + 1) is taken the same way, and
+    digit k is sigma_(n - k).  :func:`_packing` gives the digit width.
     """
-    bits, count, backward = _packing(len(values), max(map(abs, values)), top, low)
+    bits, count = _packing(len(values), max(map(abs, values)), top, low, backward)
     mask, acc = (1 << bits * count) - 1, 1
     if backward:
         for v in values:
@@ -157,11 +158,13 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     indices is divided by the weight product and summed exactly.  The data
     is taken at face value; no realizability check is attempted.
 
-    The sigma_j come from one packing over every index, or from two: one
-    up to the k-th smallest distinct index and one from the next, so that
-    [n - 1, 1] packs two low and two high digits instead of n.  The route
-    with the fewest bits (:func:`_packing`, at the largest weight size of
-    the data) is chosen once per call; a tie keeps the one packing.
+    The sigma_j come from one plan per call, taken for every point: one
+    packing forward up to the largest index or backward down to the
+    smallest, or a cut between two neighbouring distinct indices, forward
+    up to the lower and backward from the upper, so that [n - 1, 1] packs
+    two low and two high digits instead of n.  The plan with the fewest
+    bits (:func:`_packing`, at the largest weight size of the data) wins;
+    a tie keeps one packing, and forward before backward.
     """
     indices = tuple(_check_int(i, "Chern index", 1) for i in indices)
     if not indices:
@@ -172,25 +175,21 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     rows = [p.weights for p in data.points]  # each ascending, so its ends bound it
     width = max(max(map(operator.itemgetter(-1), rows)), -min(map(operator.itemgetter(0), rows)))
 
-    def cost(upper: int, lower: int) -> int:
-        bits, count, _ = _packing(n, width, upper, lower)
-        return bits * count
+    def cost(upper: int, lower: int, backward: bool) -> int:
+        return prod(_packing(n, width, upper, lower, backward))
 
-    best, cut = cost(top, low), None
-    # a split's packing from its upper index costs at least cost(top, top)
-    if cost(top, top) < best:
-        distinct = sorted(set(indices))
-        for below, above in zip(distinct, distinct[1:]):
-            split = cost(below, low) + cost(top, above)
-            if split < best:
-                best, cut = split, (below, above)
-    if cut is None:
-        sigmas = [_elementary_symmetric(w, top, low) for w in rows]
-    else:
-        below, above = cut  # entries above ``below`` come from the second packing
+    # (bits, forward up to, backward from), with None for a packing not made
+    distinct = sorted(set(indices))
+    plans = [(cost(top, low, False), top, None), (cost(top, low, True), None, low)] + [
+        (cost(b, low, False) + cost(top, a, True), b, a) for b, a in zip(distinct, distinct[1:])
+    ]
+    _, below, above = min(plans, key=operator.itemgetter(0))
+    if below is None or above is None:
+        sigmas = [_elementary_symmetric(w, top, low, below is None) for w in rows]
+    else:  # entries above ``below`` come from the backward packing
         sigmas = [
             _elementary_symmetric(w, below, low)
-            + _elementary_symmetric(w, top, above)[below + 1 :]
+            + _elementary_symmetric(w, top, above, True)[below + 1 :]
             for w in rows
         ]
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
@@ -292,9 +291,9 @@ def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:
     if not isinstance(k2, (int, Fraction)) or isinstance(k2, bool):
         raise ValidationError(f"k2 must be an integer or a Fraction, got {k2!r}")
     offset = n * (3 * n - 5) // 2 * euler  # n(3n - 5) is even, so this is exact
-    if isinstance(k2, int):
-        return 12 * operator.index(k2) - offset
-    value = 12 * k2 - offset
-    if value.denominator != 1:
-        raise ValidationError(f"c1*c(n-1) came out non-integral ({value}); inconsistent input")
-    return int(value)
+    # k2's parts are exact ints, also for an int subclass (denominator 1)
+    value, denominator = 12 * k2.numerator - offset * k2.denominator, k2.denominator
+    if value % denominator:
+        shown = Fraction(value, denominator)
+        raise ValidationError(f"c1*c(n-1) came out non-integral ({shown}); inconsistent input")
+    return value // denominator

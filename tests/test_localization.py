@@ -145,21 +145,28 @@ def test_elementary_symmetric_matches_brute_force_sums():
         for _ in range(10):
             width = rng.choice((1, 9, 1000, 10**9))
             values = [rng.choice((-1, 1)) * rng.randint(1, width) for _ in range(n)]
-            for top in range(n + 1):
-                assert _elementary_symmetric(values, top) == brute_elementary_symmetric(
-                    values, top
-                ), (values, top)
+            expected = brute_elementary_symmetric(values, n)
+            for backward, low in itertools.product((False, True), range(n + 1)):
+                for top in range(low, n + 1):
+                    got = _elementary_symmetric(values, top, low, backward)
+                    assert len(got) == top + 1
+                    assert got[low:] == expected[low : top + 1], (values, top, low, backward)
+                    # below ``low``: sigma_j forward, 0 backward
+                    assert got[:low] == ([0] * low if backward else expected[:low])
 
 
 @pytest.mark.parametrize("width", [1, 2, 1000, 10**9])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_elementary_symmetric_at_the_size_bound(width, sign):
     # equal weights reach |sigma_j| = C(n, j) W^j, the bound the digit width
-    # is chosen from
+    # is chosen from, in both directions
     for n in range(1, 11):
+        expected = [math.comb(n, j) * (sign * width) ** j for j in range(n + 1)]
         for top in range(n + 1):
-            expected = [math.comb(n, j) * (sign * width) ** j for j in range(top + 1)]
-            assert _elementary_symmetric([sign * width] * n, top) == expected, (n, top)
+            assert _elementary_symmetric([sign * width] * n, top) == expected[: top + 1]
+            for low in range(top + 1):
+                got = _elementary_symmetric([sign * width] * n, top, low, True)
+                assert got[low:] == expected[low : top + 1], (n, top, low)
 
 
 def test_chern_monomial_rejects_wrong_degree():
@@ -662,6 +669,17 @@ def test_c1cn1_integer_path_matches_the_fraction_path():
                 assert value == 12 * k2 - Fraction(n * (3 * n - 5), 2) * euler
 
 
+def test_c1cn1_returns_an_exact_int_for_every_integral_k2():
+    class Plain(int):
+        pass
+
+    for k2 in (Plain(3), Half(3), Fraction(6, 2), Fraction(3)):
+        value = c1cn1_from_k2(k2, 3, 2)
+        assert type(value) is int and value == 33, k2
+    with pytest.raises(ValidationError, match=r"came out non-integral \(-3/5\)"):
+        c1cn1_from_k2(Fraction(1, 5), 3, 2)
+
+
 def test_a_vanishing_residue_sum_is_a_fraction_zero():
     data = linear_pn((0, 2, 5, 7))
     values = [residue_sum(data, power) for power in range(3)]
@@ -686,24 +704,83 @@ def sigma_reads(monkeypatch):
     return reads
 
 
-def test_elementary_symmetric_packs_the_direction_with_fewer_bits(monkeypatch):
+def cheapest_plan_reads(n, width, indices):
+    # the digit counts read per point under the plan with the fewest bits:
+    # one forward packing, one backward packing, or a cut between two
+    # neighbouring distinct indices; a tie keeps one packing, forward first
+    top, low = max(indices), min(indices)
+
+    def cost(upper, lower, backward):
+        bits, count = localization._packing(n, width, upper, lower, backward)
+        return bits * count, count
+
+    forward, backward = cost(top, low, False), cost(top, low, True)
+    plans = [(forward[0], 0, [forward[1]]), (backward[0], 1, [backward[1]])]
+    distinct = sorted(set(indices))
+    for below, above in zip(distinct, distinct[1:]):
+        head, tail = cost(below, low, False), cost(top, above, True)
+        plans.append((head[0] + tail[0], 2, [head[1], tail[1]]))
+    return sorted(plans, key=lambda plan: plan[:2])[0][2]
+
+
+def test_chern_monomial_packs_the_cheapest_plan(monkeypatch):
     rng = random.Random(17)
     reads = sigma_reads(monkeypatch)
-    directions = set()
-    for n in range(1, 13):
+    plans = set()
+    for n in range(1, 11):
         for _ in range(6):
             width = rng.choice((1, 9, 1000, 10**9))
-            values = [rng.choice((-1, 1)) * rng.randint(1, width) for _ in range(n)]
-            expected = brute_elementary_symmetric(values, n)
-            for low in range(n + 1):
-                for top in range(low, n + 1):
-                    reads.clear()
-                    got = _elementary_symmetric(values, top, low)
-                    assert len(got) == top + 1
-                    assert got[low:] == expected[low : top + 1], (values, top, low)
-                    (count,) = reads
-                    directions.add("forward" if count == top + 1 else "backward")
-    assert directions == {"forward", "backward"}
+            data = FixedPointData(n, tuple(
+                FixedPointDatum(f"P{i}", [rng.choice((-1, 1)) * rng.randint(1, width)
+                                          for _ in range(n)])
+                for i in range(rng.randint(1, 4))
+            ))
+            size = max(abs(w) for p in data.points for w in p.weights)
+            for indices in partitions(n):
+                reads.clear()
+                chern_monomial(data, indices)
+                expected = cheapest_plan_reads(n, size, indices)
+                assert reads == expected * data.point_count, (data, indices)
+                if len(expected) == 2:
+                    plans.add("split")
+                else:
+                    plans.add("forward" if expected == [max(indices) + 1] else "backward")
+    assert plans == {"forward", "backward", "split"}
+
+
+def test_every_row_packs_the_plan_of_its_call(monkeypatch):
+    # rows far below the data-wide weight size still pack the plan's
+    # direction(s), costed once at that size
+    rng = random.Random(29)
+    calls = []
+    packer = localization._elementary_symmetric
+
+    def spy(values, top, low=0, backward=False):
+        calls[-1].append((top, low, backward))
+        return packer(values, top, low, backward)
+
+    monkeypatch.setattr(localization, "_elementary_symmetric", spy)
+    for n in (4, 7, 12):
+        for widths in ((1, 10**9), (10**30, 2, 1), (9, 1000)):
+            data = FixedPointData(n, tuple(
+                FixedPointDatum(f"P{i}", [rng.choice((-1, 1)) * rng.randint(1, w)
+                                          for _ in range(n)])
+                for i, w in enumerate(widths)
+            ))
+            for indices in ([n], [n - 1, 1], [1] * n, [n // 2, n - n // 2], [n - 3, 2, 1]):
+                calls.append([])
+                value = chern_monomial(data, indices)
+                sigmas = [brute_elementary_symmetric(p.weights, n) for p in data.points]
+                assert value == sum(
+                    Fraction(math.prod(s[i] for i in indices), p.weight_product)
+                    for s, p in zip(sigmas, data.points)
+                )
+                per_row = len(calls[-1]) // data.point_count
+                plan = calls[-1][:per_row]
+                assert calls[-1] == plan * data.point_count, (data, indices)
+                size = max(abs(w) for p in data.points for w in p.weights)
+                counts = [n - low + 1 if back else top + 1 for top, low, back in plan]
+                assert counts == cheapest_plan_reads(n, size, indices), (data, indices)
 
 
 @pytest.mark.parametrize("n", [3, 12, 39])
@@ -740,9 +817,9 @@ def test_chern_monomials_match_brute_force_sums_on_random_data(monkeypatch):
     packings = []  # packed products per point of each call: 1, or 2 when split
     packer = localization._elementary_symmetric
 
-    def spy(values, top, low=0):
+    def spy(values, top, low=0, backward=False):
         packings[-1] += 1
-        return packer(values, top, low)
+        return packer(values, top, low, backward)
 
     monkeypatch.setattr(localization, "_elementary_symmetric", spy)
     for n in range(1, 9):
