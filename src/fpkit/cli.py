@@ -22,6 +22,7 @@ from . import __version__
 from .core import (
     FixedPointData,
     ValidationError,
+    _read_text,
     betti_numbers,
     iter_documents,
     loads,
@@ -64,9 +65,8 @@ def _poly_payload(poly: LaurentPoly) -> dict:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:  # the parsers skip a leading BOM
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        return _read_text(path)  # the parsers skip a leading BOM
+    except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

@@ -91,6 +91,26 @@ def _check_bundle(bundle: Any, count: int | None = None, kind: str = "BundleWeig
         )
 
 
+def _row(label: Any, weights: Iterable[Any]) -> tuple[int, ...]:
+    """The one check of a point: a string label and nonzero integer weights,
+    returned sorted ascending as exact ints; a zero is named by that order."""
+    if not isinstance(label, str):
+        raise ValidationError(f"point label must be a string, got {label!r}")
+    weights = weights if type(weights) is list else tuple(weights)  # iterated twice
+    if not {*map(type, weights)} <= {int}:
+        # checked in input order, so the first non-integer given is named
+        what = f'weight of point "{label}"'
+        weights = [_check_int(w, what) for w in weights]
+    row = tuple(sorted(weights))
+    zero = bisect.bisect_left(row, 0)
+    if zero < len(row) and row[zero] == 0:
+        raise ValidationError(
+            f'zero weight at point "{label}" (position {zero}): '
+            "isolated fixed points have all weights nonzero"
+        )
+    return row
+
+
 @dataclasses.dataclass(frozen=True)
 class FixedPointDatum:
     """One isolated fixed point: a label and its multiset of nonzero weights.
@@ -102,20 +122,8 @@ class FixedPointDatum:
     weights: tuple[int, ...]
 
     def __init__(self, label: str, weights: Iterable[int]):
-        if not isinstance(label, str):
-            raise ValidationError(f"point label must be a string, got {label!r}")
+        object.__setattr__(self, "weights", _row(label, weights))
         object.__setattr__(self, "label", label)
-        weights = tuple(weights)
-        if not {*map(type, weights)} <= {int}:
-            # checked in input order, so the first non-integer given is named
-            what = f'weight of point "{label}"'
-            weights = tuple([_check_int(w, what) for w in weights])
-        object.__setattr__(self, "weights", tuple(sorted(weights)))
-        if 0 in self.weights:
-            raise ValidationError(
-                f'zero weight at point "{label}" (position {self.weights.index(0)}): '
-                "isolated fixed points have all weights nonzero"
-            )
 
     @property
     def weight_sum(self) -> int:
@@ -235,22 +243,26 @@ def validate(raw: Mapping[str, Any]) -> FixedPointData:
     entries = raw["fixed_points"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError('"fixed_points" must be a non-empty list')
+    new, put = object.__new__, object.__setattr__  # each point is checked once, by _row
     points = []
     for index, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
+        if type(entry) is not dict and not isinstance(entry, Mapping):
             raise ValidationError(f"fixed point at index {index} must be an object")
-        extra = set(entry) - {"label", "weights"}
-        if extra:
-            raise ValidationError(
-                f"fixed point at index {index} has unknown keys: {sorted(extra)}"
-            )
-        if "label" not in entry or "weights" not in entry:
+        if len(entry) != 2 or "label" not in entry or "weights" not in entry:
+            if extra := set(entry) - {"label", "weights"}:
+                raise ValidationError(
+                    f"fixed point at index {index} has unknown keys: {sorted(extra)}"
+                )
             raise ValidationError(
                 f'fixed point at index {index} needs both "label" and "weights"'
             )
-        if not isinstance(entry["weights"], list):
+        label, weights = entry["label"], entry["weights"]
+        if not isinstance(weights, list):
             raise ValidationError(f'"weights" of fixed point at index {index} must be a list')
-        points.append(FixedPointDatum(entry["label"], entry["weights"]))
+        point = new(FixedPointDatum)
+        put(point, "weights", _row(label, weights))
+        put(point, "label", label)
+        points.append(point)
     bundle = None
     if "bundle_weights" in raw:
         if not isinstance(raw["bundle_weights"], list):
@@ -288,18 +300,26 @@ def loads(text: str) -> FixedPointData:
     return validate(raw)
 
 
+def _read_text(path) -> str:
+    """The one file reader: what ``open(path, encoding="utf-8").read()`` returns
+    (CR and CRLF line ends read as LF), from one raw read and one decode."""
+    with open(path, "rb", buffering=0) as handle:
+        try:
+            text = handle.readall().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load(path) -> FixedPointData:
     """Validate the JSON interchange document at ``path``.
 
     A file that is not UTF-8 raises ValidationError, as a malformed document
     does; a file that cannot be opened raises OSError.
     """
-    with open(path, "r", encoding="utf-8") as handle:  # loads skips a leading BOM
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return loads(text)
+    return loads(_read_text(path))  # loads skips a leading BOM
 
 
 def to_document(data: FixedPointData) -> dict[str, Any]:

@@ -909,3 +909,16 @@ def test_a_crlf_separated_stream_is_read(capsys, tmp_path):
     path = tmp_path / "stream.json"
     path.write_bytes(text.replace("\n", "\r\n").encode())
     assert run(capsys, "validate", str(path)) == (0, text, "")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+@pytest.mark.parametrize("command", ["validate", "report", "hattori"])
+def test_cr_and_crlf_line_ends_read_as_lf(capsys, model_file, tmp_path, command, end):
+    text = open(model_file).read()
+    for cut in (len(text), len(text) // 2):  # whole, then truncated mid-document
+        twin, path = tmp_path / "lf.json", tmp_path / "cr.json"
+        twin.write_bytes(text[:cut].encode())
+        path.write_bytes(text[:cut].replace("\n", end).encode())
+        expected = run(capsys, command, str(twin))
+        assert run(capsys, command, str(path)) == expected
+    assert expected[0] == 2 and " line " in expected[2]

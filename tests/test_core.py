@@ -1,6 +1,8 @@
 import json
 import re
+from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from fpkit.core import (
     FixedPointData,
     FixedPointDatum,
     ValidationError,
+    _read_text,
     betti_numbers,
     dump,
     iter_documents,
@@ -138,6 +141,41 @@ def test_smallest_linear_document_is_valid():
         (
             {"n": 1, "fixed_points": [{"label": "P1", "weights": [1]}], "x": 0},
             "unknown document keys",
+        ),
+        # where two checks fail, these pin which one fires first
+        (
+            {
+                "n": 2,
+                "fixed_points": [
+                    {"label": "A", "weights": [1]},
+                    {"label": "B", "weights": [1, 2]},
+                    {"label": "C", "weights": [0, 1]},
+                ],
+            },
+            r'^zero weight at point "C" \(position 0\): ',
+        ),
+        (
+            {"n": 0, "fixed_points": [{"label": "A", "weights": [True]}]},
+            r'^weight of point "A" must be an integer, got True$',
+        ),
+        (
+            {
+                "n": 1,
+                "fixed_points": [
+                    {"label": "A", "weights": [1]},
+                    {"label": "A", "weights": [2]},
+                ],
+                "bundle_weights": 5,
+            },
+            r'^"bundle_weights" must be a list of integers$',
+        ),
+        (
+            {"n": 1, "fixed_points": [{"label": "A", "weights": [1], "x": 0}]},
+            r"^fixed point at index 0 has unknown keys: \['x'\]$",
+        ),
+        (
+            {"n": 1, "fixed_points": [{"label": "A"}]},
+            r'^fixed point at index 0 needs both "label" and "weights"$',
         ),
     ],
 )
@@ -316,6 +354,52 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
         load(path)
     with pytest.raises(FileNotFoundError):
         load(tmp_path / "missing.json")
+
+
+# pieces of a file: the three line ends, ASCII, and two- to four-byte UTF-8
+_PIECES = [b"\n", b"\r", b"\r\n", b"{", b" 1", "\u00e9".encode(), "\u2211".encode(),
+           "\U0001d53b".encode()]
+
+
+@given(st.booleans(), st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_the_file_reader_matches_a_text_mode_read(tmp_path_factory, bom, pieces):
+    path = tmp_path_factory.getbasetemp() / "reader.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+    with open(path, encoding="utf-8") as handle:
+        assert _read_text(path) == handle.read()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'\xff{"n": 1}',
+        b'{"n": 1}\r\n\xc3',
+        b"1" * 9000 + b"\r\n\xe9 ",  # past the first 8 KB
+        ("\u00e9\r" * 3000).encode() + b"\xed\xa0\x80",
+    ],
+    ids=["first byte", "cut sequence", "past 8 KB", "surrogate after CRs"],
+)
+def test_the_file_reader_names_a_bad_byte_as_a_text_mode_read(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as caught, open(path, encoding="utf-8") as handle:
+        handle.read()
+    message = "^" + re.escape(f"cannot read {path}: {caught.value}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        _read_text(path)
+    with pytest.raises(ValidationError, match=message):
+        load(path)
+
+
+def test_validate_accepts_mapping_entries_and_stores_exact_ints():
+    entries = [
+        MappingProxyType({"label": "A", "weights": [Weight(-1)]}),
+        OrderedDict(label="B", weights=[Weight(1)]),
+    ]
+    data = validate({"n": Weight(1), "fixed_points": entries})
+    assert data == FixedPointData(1, (FixedPointDatum("A", [-1]), FixedPointDatum("B", [1])))
+    assert all(type(leaf) is int for leaf in (data.n, *data.points[0].weights,
+                                              *data.points[1].weights))
 
 
 def test_strings_skip_one_leading_byte_order_mark():
