@@ -80,12 +80,12 @@ class BundleWeights:
         return len(set(self.values)) == len(self.values)
 
 
-def _check_bundle(bundle: Any, count: int | None = None, kind: str = "BundleWeights") -> None:
+def _check_bundle(bundle: Any, count: int, kind: str = "BundleWeights") -> None:
     """The one bundle-argument check: ``bundle`` is a :class:`BundleWeights`
-    and, when ``count`` is given, holds one weight per point."""
+    holding ``count`` weights, one per point."""
     if not isinstance(bundle, BundleWeights):
         raise ValidationError(f"bundle must be {kind}, got {bundle!r}")
-    if count is not None and len(bundle) != count:
+    if len(bundle) != count:
         raise ValidationError(
             f"bundle weight count {len(bundle)} does not match point count {count}"
         )

@@ -197,11 +197,10 @@ def hattori_verdict(
             f"rigidity check needs exactly n + 1 = {scale} points, got "
             f"{data.point_count}"
         )
-    if bundle is None:
-        bundle = data.bundle
-    if bundle is None:
-        bundle = derive_bundle_weights(data)
-    _check_bundle(bundle, scale, "BundleWeights or None")
+    if bundle is None:  # data.bundle was checked with the data; a derived one fits
+        bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
+    else:
+        _check_bundle(bundle, scale, "BundleWeights or None")
     normalized = bundle.normalized()
     try:
         certificate = check_condition_c(data, normalized, scale)

@@ -7,7 +7,7 @@ cofactors are computed once per data object, not once per sum, and so is
 the running-product table behind :func:`residue_sum`; every other sum goes
 through :func:`localize`.  A Chern monomial reads the elementary symmetric
 functions of each point's weights off one or two packed integer products,
-with one big-integer step per weight; one plan per call, chosen by bit
+with one big-integer step per weight; one cut per call, chosen by bit
 cost, says which products every point packs.  The genus polynomial from
 fixed-point data is assembled from the Betti counts.  That of the standard
 projective model is also computed independently from its characteristic
@@ -113,7 +113,7 @@ def _packing(n: int, width: int, top: int, low: int, backward: bool) -> tuple[in
     """The digit width and count with which :func:`_elementary_symmetric`
     packs sigma_low..sigma_top of n values of absolute value at most W =
     ``width`` in the given direction; their product is the cost, in bits,
-    that :func:`chern_monomial` compares its plans by.
+    that :func:`chern_monomial` compares its cuts by.
 
     Forward, the digits are sigma_0..sigma_top, and |sigma_j| <= C(n, j) W^j
     is at most (nW)^top < 2^(top * bit_length(nW)) and 2^n W^top <
@@ -158,13 +158,14 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     indices is divided by the weight product and summed exactly.  The data
     is taken at face value; no realizability check is attempted.
 
-    The sigma_j come from one plan per call, taken for every point: one
-    packing forward up to the largest index or backward down to the
-    smallest, or a cut between two neighbouring distinct indices, forward
-    up to the lower and backward from the upper, so that [n - 1, 1] packs
-    two low and two high digits instead of n.  The plan with the fewest
-    bits (:func:`_packing`, at the largest weight size of the data) wins;
-    a tie keeps one packing, and forward before backward.
+    The sigma_j come from one cut per call, taken for every point: a cut
+    (b, a) packs forward up to b and backward from a, where b = 0 or
+    a = n + 1 packs nothing on that side.  The cuts are the two ends,
+    forward only (largest index, n + 1) and backward only (0, smallest
+    index), then each pair of neighbouring distinct indices, so that
+    [n - 1, 1] packs two low and two high digits instead of n.  The cut
+    with the fewest bits (:func:`_packing`, at the largest weight size of
+    the data) wins; a tie keeps the earlier cut in that order.
     """
     indices = tuple(_check_int(i, "Chern index", 1) for i in indices)
     if not indices:
@@ -175,23 +176,18 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     rows = [p.weights for p in data.points]  # each ascending, so its ends bound it
     width = max(max(map(operator.itemgetter(-1), rows)), -min(map(operator.itemgetter(0), rows)))
 
-    def cost(upper: int, lower: int, backward: bool) -> int:
-        return prod(_packing(n, width, upper, lower, backward))
+    def cost(b: int, a: int) -> int:
+        forward = prod(_packing(n, width, b, low, False)) if b else 0
+        return forward + (prod(_packing(n, width, top, a, True)) if a <= n else 0)
 
-    # (bits, forward up to, backward from), with None for a packing not made
     distinct = sorted(set(indices))
-    plans = [(cost(top, low, False), top, None), (cost(top, low, True), None, low)] + [
-        (cost(b, low, False) + cost(top, a, True), b, a) for b, a in zip(distinct, distinct[1:])
+    b, a = min([(top, n + 1), (0, low), *zip(distinct, distinct[1:])], key=lambda c: cost(*c))
+    # sigma_0 = 1, and entries above b come from the backward packing
+    sigmas = [
+        (_elementary_symmetric(w, b, low) if b else [1])
+        + (_elementary_symmetric(w, top, a, True)[b + 1 :] if a <= n else [])
+        for w in rows
     ]
-    _, below, above = min(plans, key=operator.itemgetter(0))
-    if below is None or above is None:
-        sigmas = [_elementary_symmetric(w, top, low, below is None) for w in rows]
-    else:  # entries above ``below`` come from the backward packing
-        sigmas = [
-            _elementary_symmetric(w, below, low)
-            + _elementary_symmetric(w, top, above, True)[below + 1 :]
-            for w in rows
-        ]
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
 
@@ -279,21 +275,13 @@ def k_coefficients(chi: LaurentPoly, n: int) -> tuple[int, ...]:
     return tuple(_balanced_digits(acc, bits, n + 1))
 
 
-def c1cn1_from_k2(k2: int | Fraction, euler: int, n: int) -> int:
-    """Recover the Chern number c_1 c_{n-1} from the quadratic Taylor
-    coefficient of the genus at y = -1 and the Euler characteristic.
-
-    Raises ValidationError when the result is not an integer, which signals
-    inconsistent input data.
+def c1cn1_from_k2(k2: int, euler: int, n: int) -> int:
+    """Recover the Chern number c_1 c_{n-1} = 12 k2 - n(3n - 5)/2 euler from
+    the quadratic coefficient k2 of the genus in powers of (y + 1), the
+    integer that :func:`k_coefficients` returns, and the Euler
+    characteristic.  Every argument must be an integer.
     """
     n = _check_int(n, "dimension", 1)
     euler = _check_int(euler, "Euler characteristic")
-    if not isinstance(k2, (int, Fraction)) or isinstance(k2, bool):
-        raise ValidationError(f"k2 must be an integer or a Fraction, got {k2!r}")
-    offset = n * (3 * n - 5) // 2 * euler  # n(3n - 5) is even, so this is exact
-    # k2's parts are exact ints, also for an int subclass (denominator 1)
-    value, denominator = 12 * k2.numerator - offset * k2.denominator, k2.denominator
-    if value % denominator:
-        shown = Fraction(value, denominator)
-        raise ValidationError(f"c1*c(n-1) came out non-integral ({shown}); inconsistent input")
-    return value // denominator
+    k2 = _check_int(k2, "k2")
+    return 12 * k2 - n * (3 * n - 5) // 2 * euler  # n(3n - 5) is even, so this is exact

@@ -76,14 +76,6 @@ class PointRestriction:
     normal_weight: int | None
     expected_normal: int | None
 
-    @property
-    def normal_matches(self) -> bool:
-        if not self.embeds:
-            return False
-        if self.expected_normal is None:
-            return True
-        return self.normal_weight == self.expected_normal
-
 
 @dataclasses.dataclass(frozen=True)
 class PairRestrictionReport:
@@ -136,12 +128,11 @@ def pair_restriction_check(
             raise ValidationError(f"embedding targets unknown ambient point {image!r}")
 
     omitted = [label for label in ambient.labels if label not in targets]
-    expected_by_image: dict[str, int] | None = None
     omitted_label = omitted[0] if len(omitted) == 1 else None
+    bundle_at = None
     if ambient.bundle is not None and omitted_label is not None:
         bundle_at = dict(zip(ambient.labels, ambient.bundle.values))
         left_out = bundle_at[omitted_label]
-        expected_by_image = {label: bundle_at[label] - left_out for label in images}
 
     rows = []
     for point in hypersurface.points:
@@ -149,11 +140,7 @@ def pair_restriction_check(
         missing = tuple(sorted((Counter(point.weights) - Counter(image.weights)).elements()))
         # with nothing missing, the one leftover ambient weight is the sum difference
         normal = None if missing else image.weight_sum - point.weight_sum
-        expected = (
-            expected_by_image.get(image.label)
-            if expected_by_image is not None
-            else None
-        )
+        expected = None if bundle_at is None else bundle_at[image.label] - left_out
         rows.append(
             PointRestriction(
                 label=point.label,
@@ -164,5 +151,5 @@ def pair_restriction_check(
                 expected_normal=expected,
             )
         )
-    passes = all(row.normal_matches for row in rows)
+    passes = all(row.embeds and row.expected_normal in (None, row.normal_weight) for row in rows)
     return PairRestrictionReport(passes, omitted_label, tuple(rows))

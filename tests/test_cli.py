@@ -227,6 +227,31 @@ def test_pair_pass_fail_and_invalid(capsys, model_file, hyperplane_file, tmp_pat
     assert "dimension mismatch" in err
 
 
+def test_pair_fails_on_a_normal_weight_off_the_bundle_prediction(
+    capsys, hyperplane_file, tmp_path
+):
+    # every point embeds, but the bundle (0, 2, 3) predicts the normal 2 - 3 at P2, not -2
+    ambient = FixedPointData(2, linear_pn((0, 1, 3)).points, BundleWeights((0, 2, 3)))
+    report = pair_restriction_check(ambient, linear_pn((0, 1)))
+    assert not report.passes and report.omitted_label == "P3"
+    assert [row.embeds for row in report.points] == [True, True]
+    assert [row.normal_weight for row in report.points] == [-3, -2]
+    assert [row.expected_normal for row in report.points] == [-3, -1]
+    ambient_file = tmp_path / "skewed.json"
+    dump(ambient, ambient_file)
+    code, out, _ = run(capsys, "pair", str(ambient_file), hyperplane_file)
+    assert code == 1 and json.loads(out)["passes"] is False
+
+    # with two ambient points left out, nothing is predicted
+    single = tmp_path / "single.json"
+    dump(FixedPointData(1, (FixedPointDatum("P1", (-1,)),)), single)
+    code, out, _ = run(capsys, "pair", str(ambient_file), str(single))
+    document = json.loads(out)
+    assert code == 0 and document["passes"] is True
+    assert document["omitted_label"] is None
+    assert [row["expected_normal"] for row in document["points"]] == [None]
+
+
 @pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
 def test_commands_skip_a_byte_order_mark(capsys, model_file, hyperplane_file, tmp_path, command):
     marked = {}

@@ -280,15 +280,24 @@ def test_k_coefficients_reject_bad_polynomials():
 
 def test_c1cn1_reference_values():
     assert c1cn1_from_k2(1, 3, 2) == 9
-    with pytest.raises(ValidationError, match="non-integral"):
+    with pytest.raises(ValidationError, match=r"^k2 must be an integer, got Fraction\(1, 5\)$"):
         c1cn1_from_k2(Fraction(1, 5), 3, 2)
     with pytest.raises(ValidationError, match="dimension must be a positive integer, got 0$"):
         c1cn1_from_k2(1, 3, 0)
 
 
-@pytest.mark.parametrize("k2, shown", [("1/2", "'1/2'"), (True, "True"), (0.5, r"0\.5"), (None, "None")])
-def test_c1cn1_takes_k2_as_an_integer_or_fraction(k2, shown):
-    with pytest.raises(ValidationError, match=f"^k2 must be an integer or a Fraction, got {shown}$"):
+@pytest.mark.parametrize(
+    "k2, shown",
+    [
+        ("1/2", "'1/2'"),
+        (True, "True"),
+        (0.5, r"0\.5"),
+        (None, "None"),
+        (Fraction(3), r"Fraction\(3, 1\)"),
+    ],
+)
+def test_c1cn1_takes_k2_as_an_integer(k2, shown):
+    with pytest.raises(ValidationError, match=f"^k2 must be an integer, got {shown}$"):
         c1cn1_from_k2(k2, 3, 2)
 
 
@@ -660,12 +669,12 @@ def test_residue_sum_and_chern_monomial_compute_with_exact_int_indices():
 # -- integer and vanishing results --------------------------------------------
 
 def test_c1cn1_integer_path_matches_the_fraction_path():
+    # the closed form 12 k2 - n(3n - 5)/2 euler, evaluated in Fractions
     for n in range(1, 13):
         for euler in range(-4, 15):
             for k2 in range(-30, 31, 3):
                 value = c1cn1_from_k2(k2, euler, n)
                 assert type(value) is int
-                assert value == c1cn1_from_k2(Fraction(k2), euler, n)
                 assert value == 12 * k2 - Fraction(n * (3 * n - 5), 2) * euler
 
 
@@ -673,11 +682,9 @@ def test_c1cn1_returns_an_exact_int_for_every_integral_k2():
     class Plain(int):
         pass
 
-    for k2 in (Plain(3), Half(3), Fraction(6, 2), Fraction(3)):
+    for k2 in (3, Plain(3), Half(3)):
         value = c1cn1_from_k2(k2, 3, 2)
         assert type(value) is int and value == 33, k2
-    with pytest.raises(ValidationError, match=r"came out non-integral \(-3/5\)"):
-        c1cn1_from_k2(Fraction(1, 5), 3, 2)
 
 
 def test_a_vanishing_residue_sum_is_a_fraction_zero():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpkit import search
 from fpkit.cli import main
 from fpkit.core import (
     FixedPointData,
@@ -129,12 +130,22 @@ def test_survivor_stream_reads_back_as_documents():
     assert docs == survivors
 
 
-def test_enumeration_is_deterministic_across_runs_and_workers():
+def test_enumeration_is_deterministic_across_runs():
     spec = SearchSpec(n=2, bound=3)
     streams = [
         "".join(serialize(d) for d in enumerate_survivors(spec)) for _ in range(3)
     ]
     assert len(set(streams)) == 1
+
+
+def test_enumeration_rechecks_the_residue_constraints_of_every_joined_tuple(monkeypatch):
+    spec = SearchSpec(n=2, bound=2)
+    expected = [weight_lists(d) for d in enumerate_survivors(spec)]
+    # m copies of the first pool entry: equal weight products, so the r = 0
+    # residue sum is m / e, not zero
+    join = search._join
+    monkeypatch.setattr(search, "_join", lambda keys, m: join(keys, m) + [(0,) * m])
+    assert [weight_lists(d) for d in enumerate_survivors(spec)] == expected
 
 
 def test_bound_monotonicity():
