@@ -51,9 +51,9 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INVALID
+def _document(fields: dict) -> str:
+    """A command's JSON document: the schema version, then ``fields``."""
+    return to_json({"schema_version": SCHEMA_VERSION, **fields})
 
 
 def _poly_payload(poly: LaurentPoly) -> dict:
@@ -139,7 +139,6 @@ def _report(data: FixedPointData) -> dict:
     coefficients = k_coefficients(chi, data.n)
     residue_sums = [residue_sum(data, r) for r in range(data.n + 1)]
     return {
-        "schema_version": SCHEMA_VERSION,
         "n": data.n,
         "point_count": data.point_count,
         "euler_characteristic": data.point_count,
@@ -159,12 +158,12 @@ def _report(data: FixedPointData) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     documents = _load_stream(args.path)
-    _write_output("".join(to_json(_report(data)) for data in documents))
+    _write_output("".join(_document(_report(data)) for data in documents))
     return EXIT_OK
 
 
 def _verdict_payload(verdict: RigidityVerdict) -> dict:
-    """The `hattori` document without its schema version.
+    """The fields of the `hattori` document.
 
     Every output dataclass is a plain frozen dataclass, whose vars() holds
     exactly its fields in declaration order, so each document's keys and
@@ -186,11 +185,9 @@ def cmd_hattori(args: argparse.Namespace) -> int:
     try:
         verdict = hattori_verdict(data)
     except BundleDerivationError as exc:
-        _write_output(
-            to_json({"schema_version": SCHEMA_VERSION, "passes": False, "error": str(exc)})
-        )
+        _write_output(_document({"passes": False, "error": str(exc)}))
         return EXIT_FAIL
-    _write_output(to_json({"schema_version": SCHEMA_VERSION, **_verdict_payload(verdict)}))
+    _write_output(_document(_verdict_payload(verdict)))
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
 
@@ -223,12 +220,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
     hypersurface = _load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
     report = pair_restriction_check(ambient, hypersurface, embedding)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        **vars(report),
-        "points": [vars(row) for row in report.points],
-    }
-    _write_output(to_json(document))
+    points = [vars(row) for row in report.points]
+    _write_output(_document({**vars(report), "points": points}))
     return EXIT_OK if report.passes else EXIT_FAIL
 
 
@@ -265,7 +258,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         stream = "".join(serialize(data) for data in experiment.survivors)
         _write_output(stream, args.output)
     document = {
-        "schema_version": SCHEMA_VERSION,
         "n": spec.n,
         "bound": spec.bound,
         "require_projective_profile": spec.require_projective_profile,
@@ -285,19 +277,15 @@ def cmd_search(args: argparse.Namespace) -> int:
             for data, reason in experiment.hypothesis_failures
         ],
     }
-    _write_output(to_json(document))
+    _write_output(_document(document))
     return EXIT_OK if not experiment.counterexamples else EXIT_FAIL
 
 
 def cmd_c1candidates(args: argparse.Namespace) -> int:
     from .hattori import first_chern_candidates
 
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "n": args.n,
-        "candidates": [vars(c) for c in first_chern_candidates(args.n)],
-    }
-    _write_output(to_json(document))
+    candidates = [vars(c) for c in first_chern_candidates(args.n)]
+    _write_output(_document({"n": args.n, "candidates": candidates}))
     return EXIT_OK
 
 
@@ -320,17 +308,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     parser.add_argument("--version", action="version", version=f"fpkit {__version__}")
     commands = parser.add_subparsers(dest="command")
 
-    sub = commands.add_parser("validate", help="validate a data file and echo it canonically")
-    sub.add_argument("path", help="fixed-point data file")
-    sub.set_defaults(handler=cmd_validate)
-
-    sub = commands.add_parser("report", help="full localization report for a data file")
-    sub.add_argument("path", help="fixed-point data file")
-    sub.set_defaults(handler=cmd_report)
-
-    sub = commands.add_parser("hattori", help="run the rigidity pipeline on a data file")
-    sub.add_argument("path", help="fixed-point data file")
-    sub.set_defaults(handler=cmd_hattori)
+    for name, handler, summary in (
+        ("validate", cmd_validate, "validate a data file and echo it canonically"),
+        ("report", cmd_report, "full localization report for a data file"),
+        ("hattori", cmd_hattori, "run the rigidity pipeline on a data file"),
+    ):
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("path", help="fixed-point data file")
+        sub.set_defaults(handler=handler)
 
     sub = commands.add_parser("model", help="emit linear projective-space data")
     sub.add_argument("--weights", required=True, help="comma-separated distinct integers")
@@ -396,7 +381,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ValidationError as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

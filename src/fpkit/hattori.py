@@ -162,21 +162,12 @@ def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
     candidates = []
     for value in (Fraction(n + 1), Fraction(n + 1, 2)):
         if value.denominator != 1:
-            candidates.append(
-                ChernClassCandidate(value, False, "rejected: not an integer")
-            )
+            admissible, reason = False, "rejected: not an integer"
         elif int(value) % 2 != (n + 1) % 2:
-            candidates.append(
-                ChernClassCandidate(
-                    value, False, f"rejected: parity differs from {n + 1} mod 2"
-                )
-            )
+            admissible, reason = False, f"rejected: parity differs from {n + 1} mod 2"
         else:
-            candidates.append(
-                ChernClassCandidate(
-                    value, True, f"integer with the same parity as {n + 1}"
-                )
-            )
+            admissible, reason = True, f"integer with the same parity as {n + 1}"
+        candidates.append(ChernClassCandidate(value, admissible, reason))
     return tuple(candidates)
 
 

@@ -111,14 +111,12 @@ def pair_restriction_check(
             f"must be one below ambient dimension {ambient.n}"
         )
     ambient_points = {p.label: p for p in ambient.points}
-    if embedding is None:
-        mapping = {label: label for label in hypersurface.labels}
-    else:
-        mapping = dict(embedding)
-        if set(mapping) != set(hypersurface.labels):
-            raise ValidationError(
-                "embedding must assign an image to every hypersurface point"
-            )
+    labels = hypersurface.labels
+    mapping = dict(zip(labels, labels) if embedding is None else embedding)
+    if set(mapping) != set(labels):
+        raise ValidationError(
+            "embedding must assign an image to every hypersurface point"
+        )
     images = list(mapping.values())
     targets = set(images)
     if len(targets) != len(images):

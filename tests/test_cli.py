@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from fpkit.core import (
     BundleWeights,
     FixedPointData,
     FixedPointDatum,
+    ValidationError,
     dump,
     iter_documents,
     serialize,
@@ -250,6 +252,18 @@ def test_pair_fails_on_a_normal_weight_off_the_bundle_prediction(
     assert code == 0 and document["passes"] is True
     assert document["omitted_label"] is None
     assert [row["expected_normal"] for row in document["points"]] == [None]
+
+
+def test_pair_with_default_labels_names_a_missing_ambient_label(capsys, model_file, tmp_path):
+    lettered = FixedPointData(1, (FixedPointDatum("A", (-1,)), FixedPointDatum("B", (1,))))
+    message = "embedding targets unknown ambient point 'A'"
+    with pytest.raises(ValidationError) as raised:
+        pair_restriction_check(linear_pn((0, 1, 3)), lettered)
+    assert str(raised.value) == message
+    dump(lettered, tmp_path / "lettered.json")
+    assert run(capsys, "pair", model_file, str(tmp_path / "lettered.json")) == (
+        2, "", f"error: {message}\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
@@ -916,6 +930,18 @@ def test_arguments_without_a_command_go_through_the_top_level_parser(capsys):
     code, out, err = run(capsys, "-h")
     assert (code, err) == (0, "")
     assert out.startswith(TOP_USAGE) and "c1candidates" in out
+
+
+# `fpkit --help` and `fpkit COMMAND --help` at 80 columns, keyed by command
+# ("fpkit" for the top level): a changed byte is a changed command line
+HELP = json.loads((pathlib.Path(__file__).parent / "data" / "cli_help.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_texts_are_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    argv = ["--help"] if command == "fpkit" else [command, "--help"]
+    assert run(capsys, *argv) == (0, HELP[command], "")
 
 
 @pytest.mark.parametrize("space", ["\u00a0", "\u2028", "\v", "\x1c"])

@@ -142,14 +142,17 @@ def test_quasi_ample_rejects_zero_top_power():
 
 
 def test_first_chern_candidates_reference_rows():
+    def same(parity):
+        return f"integer with the same parity as {parity}"
+
     by_n = {
-        3: [("4", True), ("2", True)],
-        5: [("6", True), ("3", False)],
-        2: [("3", True), ("3/2", False)],
-        7: [("8", True), ("4", True)],
+        3: [("4", True, same(4)), ("2", True, same(4))],
+        5: [("6", True, same(6)), ("3", False, "rejected: parity differs from 6 mod 2")],
+        2: [("3", True, same(3)), ("3/2", False, "rejected: not an integer")],
+        7: [("8", True, same(8)), ("4", True, same(8))],
     }
     for n, expected in by_n.items():
-        rows = [(str(c.value), c.admissible) for c in first_chern_candidates(n)]
+        rows = [(str(c.value), c.admissible, c.reason) for c in first_chern_candidates(n)]
         assert rows == expected
 
 
