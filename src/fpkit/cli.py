@@ -162,22 +162,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verdict_payload(verdict: RigidityVerdict) -> dict:
-    """The fields of the `hattori` document.
-
-    Every output dataclass is a plain frozen dataclass, whose vars() holds
-    exactly its fields in declaration order, so each document's keys and
-    their order are the field declarations.  Overriding a key in a dict
-    literal keeps its first position.
-    """
-    certificate = verdict.condition_c
-    return {
-        **vars(verdict),
-        "condition_c": certificate and vars(certificate),
-        "mismatches": [vars(mismatch) for mismatch in verdict.mismatches],
-    }
-
-
 def cmd_hattori(args: argparse.Namespace) -> int:
     from .hattori import BundleDerivationError, hattori_verdict
 
@@ -187,7 +171,7 @@ def cmd_hattori(args: argparse.Namespace) -> int:
     except BundleDerivationError as exc:
         _write_output(_document({"passes": False, "error": str(exc)}))
         return EXIT_FAIL
-    _write_output(_document(_verdict_payload(verdict)))
+    _write_output(_document(vars(verdict)))
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
 
@@ -220,8 +204,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     hypersurface = _load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
     report = pair_restriction_check(ambient, hypersurface, embedding)
-    points = [vars(row) for row in report.points]
-    _write_output(_document({**vars(report), "points": points}))
+    _write_output(_document(vars(report)))
     return EXIT_OK if report.passes else EXIT_FAIL
 
 
@@ -230,7 +213,7 @@ def _weights_payload(data: FixedPointData) -> list[list[int]]:
 
 
 def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> dict:
-    payload = {"weights": _weights_payload(data), **_verdict_payload(verdict)}
+    payload = {"weights": _weights_payload(data), **vars(verdict)}
     del payload["passes"], payload["condition_c"]
     return payload
 
@@ -284,8 +267,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_c1candidates(args: argparse.Namespace) -> int:
     from .hattori import first_chern_candidates
 
-    candidates = [vars(c) for c in first_chern_candidates(args.n)]
-    _write_output(_document({"n": args.n, "candidates": candidates}))
+    _write_output(_document({"n": args.n, "candidates": first_chern_candidates(args.n)}))
     return EXIT_OK
 
 

@@ -288,16 +288,20 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
+def _decoded(decode, *args) -> Any:
+    """``decode(*args)``, raising ValidationError for a malformed document."""
+    try:
+        return decode(*args)
+    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
+        raise ValidationError(f"malformed JSON document: {exc}") from exc
+
+
 def loads(text: str) -> FixedPointData:
     """Validate a JSON interchange document given as a string.
 
     One leading byte-order mark (U+FEFF) is skipped.
     """
-    try:
-        raw = _DECODER.decode(text.removeprefix("\ufeff"))
-    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
-        raise ValidationError(f"malformed JSON document: {exc}") from exc
-    return validate(raw)
+    return validate(_decoded(_DECODER.decode, text.removeprefix("\ufeff")))
 
 
 def _read_text(path) -> str:
@@ -336,7 +340,8 @@ def to_document(data: FixedPointData) -> dict[str, Any]:
 
 
 def _write(value: Any, newline: str) -> str:
-    """``json.dumps(value, indent=2, default=str)`` at the level ``newline``."""
+    """``json.dumps(value, indent=2, default=str)`` at the level ``newline``,
+    with a dataclass instance as the dict of its fields."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -354,14 +359,18 @@ def _write(value: Any, newline: str) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if dataclasses.is_dataclass(kind):  # a result as its fields, in declaration order
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return _write(fields, newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def to_json(document: Any) -> str:
     """The one JSON writer: two-space indentation, newline-terminated, exact
     rationals as fraction strings, from dicts with str keys, lists, tuples,
-    str, int, bool, None and Fraction; other types raise TypeError.  Raises
-    :class:`ValidationError` when an integer is too long to write."""
+    str, int, bool, None, Fraction and dataclasses, written as dicts whose
+    keys are their fields in declaration order; other types raise TypeError.
+    Raises :class:`ValidationError` when an integer is too long to write."""
     try:
         return _write(document, "\n") + "\n"
     except ValueError as exc:  # an integer past the str conversion limit
@@ -390,10 +399,7 @@ def iter_documents(text: str) -> Iterator[dict[str, Any]]:
     """
     position = 1 if text.startswith("\ufeff") else 0
     while (position := _WHITESPACE.match(text, position).end()) < len(text):
-        try:
-            document, position = _DECODER.raw_decode(text, position)
-        except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
-            raise ValidationError(f"malformed JSON document: {exc}") from exc
+        document, position = _decoded(_DECODER.raw_decode, text, position)
         yield document
 
 

@@ -116,6 +116,15 @@ def check_condition_c(
     return ConditionCCertificate(k0, offset)
 
 
+def _scale(data: FixedPointData, task: str) -> int:
+    """n + 1, which ``task`` needs as the point count of ``data``."""
+    if data.point_count != data.n + 1:
+        raise ValidationError(
+            f"{task} needs exactly n + 1 = {data.n + 1} points, got {data.point_count}"
+        )
+    return data.n + 1
+
+
 def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> BundleWeights:
     """Invert the affine relation weight_sum_i = k0 * a_i + offset on data
     with n+1 points, normalizing the first bundle weight to 0.
@@ -125,12 +134,7 @@ def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> Bundle
     k0) then succeeds by construction.  For k0 = 0 the relation is solvable
     exactly when all weight sums agree, with the witness a_i = 0.
     """
-    scale = data.n + 1
-    if data.point_count != scale:
-        raise ValidationError(
-            f"bundle derivation needs exactly n + 1 = {scale} points, got "
-            f"{data.point_count}"
-        )
+    scale = _scale(data, "bundle derivation")
     k0 = scale if k0 is None else _check_int(k0, "k0", 0)
     base = data.points[0].weight_sum
     values = []
@@ -182,12 +186,7 @@ def hattori_verdict(
     are normalized so the first one is 0, making the verdict invariant
     under a simultaneous shift of the bundle.
     """
-    scale = data.n + 1
-    if data.point_count != scale:
-        raise ValidationError(
-            f"rigidity check needs exactly n + 1 = {scale} points, got "
-            f"{data.point_count}"
-        )
+    scale = _scale(data, "rigidity check")
     if bundle is None:  # data.bundle was checked with the data; a derived one fits
         bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
     else:

@@ -271,7 +271,7 @@ def test_commands_skip_a_byte_order_mark(capsys, model_file, hyperplane_file, tm
     marked = {}
     for name, path in (("model", model_file), ("hyperplane", hyperplane_file)):
         marked[name] = tmp_path / f"bom-{name}.json"
-        marked[name].write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        marked[name].write_bytes(b"\xef\xbb\xbf" + pathlib.Path(path).read_bytes())
     plain_args = [model_file, hyperplane_file] if command == "pair" else [model_file]
     bom_args = [str(marked["model"]), str(marked["hyperplane"])][: len(plain_args)]
     expected = run(capsys, command, *plain_args)
@@ -547,9 +547,10 @@ def test_missing_file_is_invalid_input(capsys, tmp_path):
         assert err.startswith("error: cannot read")
 
 
-def test_module_entry_point_smoke():
+@pytest.mark.parametrize("module", ["fpkit", "fpkit.cli"])
+def test_module_entry_point_smoke(module):
     completed = subprocess.run(
-        [sys.executable, "-m", "fpkit", "c1candidates", "--n", "5"],
+        [sys.executable, "-m", module, "c1candidates", "--n", "5"],
         capture_output=True,
         text=True,
     )
@@ -699,8 +700,8 @@ def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
 
 
 def test_output_dataclasses_hold_their_fields_in_declaration_order():
-    # the CLI writes vars() of these as documents, so vars() must list
-    # exactly the dataclass fields, in order
+    # the CLI spreads vars() of a verdict or a report into its document, so
+    # vars() must list exactly the dataclass fields, in order, as the writer does
     data = linear_pn((0, 1, 3))
     verdict = hattori_verdict(dataclasses.replace(data, bundle=BundleWeights((0, 2, 3))))
     assert verdict.mismatches
@@ -948,7 +949,7 @@ def test_help_texts_are_unchanged(capsys, monkeypatch, command):
 @pytest.mark.parametrize("command", ["validate", "report", "hattori", "pair"])
 def test_non_json_whitespace_is_invalid_input(capsys, model_file, tmp_path, command, space):
     path = tmp_path / "spaced.json"
-    path.write_text(space + open(model_file).read(), encoding="utf-8")
+    path.write_text(space + pathlib.Path(model_file).read_text(), encoding="utf-8")
     before = [model_file] if command == "pair" else []
     code, out, err = run(capsys, command, *before, str(path))
     assert (code, out) == (2, "")
@@ -965,7 +966,7 @@ def test_a_crlf_separated_stream_is_read(capsys, tmp_path):
 @pytest.mark.parametrize("end", ["\r\n", "\r"])
 @pytest.mark.parametrize("command", ["validate", "report", "hattori"])
 def test_cr_and_crlf_line_ends_read_as_lf(capsys, model_file, tmp_path, command, end):
-    text = open(model_file).read()
+    text = pathlib.Path(model_file).read_text()
     for cut in (len(text), len(text) // 2):  # whole, then truncated mid-document
         twin, path = tmp_path / "lf.json", tmp_path / "cr.json"
         twin.write_bytes(text[:cut].encode())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import OrderedDict
@@ -475,7 +476,37 @@ def test_to_json_refuses_values_past_the_str_limit(value):
     assert str(ours.value) == f"result cannot be written exactly: {stdlib.value}"
 
 
-@pytest.mark.parametrize("leaf", [0.5, {1, 2}])
+@dataclasses.dataclass(frozen=True)
+class _Row:
+    label: str
+    weights: tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Result:
+    passes: bool
+    value: Fraction
+    first: _Row
+    rows: tuple[_Row, ...]
+    note: str | None
+
+
+def test_to_json_writes_a_dataclass_as_its_fields_in_declaration_order():
+    rows = (_Row("P1", (-2, 1)), _Row("P0", ()))
+    result = _Result(False, Fraction(-3, 2), rows[1], rows, None)
+    fields = {
+        "passes": False,
+        "value": Fraction(-3, 2),
+        "first": {"label": "P0", "weights": ()},
+        "rows": [{"label": "P1", "weights": [-2, 1]}, {"label": "P0", "weights": []}],
+        "note": None,
+    }
+    assert to_json(result) == to_json(fields)
+    assert to_json({"result": [result]}) == to_json({"result": [fields]})
+    assert list(json.loads(to_json(result))) == ["passes", "value", "first", "rows", "note"]
+
+
+@pytest.mark.parametrize("leaf", [0.5, {1, 2}, object(), _Row])
 def test_to_json_refuses_unsupported_leaves(leaf):
     with pytest.raises(TypeError):
         to_json({"value": [leaf]})
