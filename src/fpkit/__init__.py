@@ -20,7 +20,7 @@ _EXPORTS = {
     "core": (
         "BundleWeights", "FixedPointData", "FixedPointDatum", "ValidationError",
         "betti_numbers", "dump", "iter_documents", "load", "loads",
-        "projective_profile", "serialize", "to_document", "validate",
+        "projective_profile", "serialize", "validate",
     ),
     "hattori": (
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",

@@ -67,14 +67,11 @@ class BundleWeights:
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
 
-    def shifted(self, offset: int) -> BundleWeights:
-        return BundleWeights(v + offset for v in self.values)
-
     def normalized(self) -> BundleWeights:
         """The equivalent weight sequence with first entry zero."""
         if not self.values:
             return self
-        return self.shifted(-self.values[0])
+        return BundleWeights(v - self.values[0] for v in self.values)
 
     def pairwise_distinct(self) -> bool:
         return len(set(self.values)) == len(self.values)
@@ -132,10 +129,6 @@ class FixedPointDatum:
     @property
     def weight_product(self) -> int:
         return prod(self.weights)
-
-    @property
-    def negative_count(self) -> int:
-        return bisect.bisect_left(self.weights, 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,22 +319,9 @@ def load(path) -> FixedPointData:
     return loads(_read_text(path))  # loads skips a leading BOM
 
 
-def to_document(data: FixedPointData) -> dict[str, Any]:
-    """The canonical plain-dict form of the interchange document."""
-    document: dict[str, Any] = {
-        "n": data.n,
-        "fixed_points": [
-            {"label": p.label, "weights": list(p.weights)} for p in data.points
-        ],
-    }
-    if data.bundle is not None:
-        document["bundle_weights"] = list(data.bundle.values)
-    return document
-
-
 def _write(value: Any, newline: str) -> str:
-    """``json.dumps(value, indent=2, default=str)`` at the level ``newline``,
-    with a dataclass instance as the dict of its fields."""
+    """``json.dumps(value, indent=2, default=str)`` at the level ``newline``;
+    FixedPointData as its document, other dataclasses as dicts of their fields."""
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
@@ -359,6 +339,12 @@ def _write(value: Any, newline: str) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if kind is FixedPointData:  # as the interchange document that loads reads
+        points = [{"label": p.label, "weights": p.weights} for p in value.points]
+        document = {"n": value.n, "fixed_points": points}
+        if value.bundle is not None:
+            document["bundle_weights"] = value.bundle.values
+        return _write(document, newline)
     if dataclasses.is_dataclass(kind):  # a result as its fields, in declaration order
         fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         return _write(fields, newline)
@@ -368,8 +354,9 @@ def _write(value: Any, newline: str) -> str:
 def to_json(document: Any) -> str:
     """The one JSON writer: two-space indentation, newline-terminated, exact
     rationals as fraction strings, from dicts with str keys, lists, tuples,
-    str, int, bool, None, Fraction and dataclasses, written as dicts whose
-    keys are their fields in declaration order; other types raise TypeError.
+    str, int, bool, None, Fraction, :class:`FixedPointData` (as the document
+    that :func:`loads` reads) and other dataclasses, written as dicts of their
+    fields in declaration order; other types raise TypeError.
     Raises :class:`ValidationError` when an integer is too long to write."""
     try:
         return _write(document, "\n") + "\n"
@@ -380,7 +367,7 @@ def to_json(document: Any) -> str:
 def serialize(data: FixedPointData) -> str:
     """Canonical serialization: fixed key order, weights ascending,
     two-space indentation, newline-terminated."""
-    return to_json(to_document(data))
+    return to_json(data)
 
 
 def dump(data: FixedPointData, path) -> None:
@@ -411,7 +398,7 @@ def betti_numbers(data: FixedPointData) -> tuple[int, ...]:
     """
     counts, negatives = [0] * (data.n + 1), bisect.bisect_left
     for p in data.points:
-        counts[negatives(p.weights, 0)] += 1  # p.negative_count, without the property
+        counts[negatives(p.weights, 0)] += 1  # the number of negative weights
     return tuple(counts)
 
 

@@ -22,7 +22,6 @@ from fpkit.core import (
     loads,
     projective_profile,
     serialize,
-    to_document,
     to_json,
     validate,
 )
@@ -56,7 +55,7 @@ def test_datum_sorts_weights_and_derives_invariants():
     assert datum.weights == (-3, -1)
     assert datum.weight_sum == -4
     assert datum.weight_product == 3
-    assert datum.negative_count == 2
+    assert betti_numbers(FixedPointData(2, (datum,))) == (0, 0, 1)
 
 
 def test_datum_rejects_zero_weight():
@@ -186,7 +185,7 @@ def test_validate_rejects_bad_documents(raw, fragment):
 
 
 def test_validate_accepts_generated_linear_data():
-    doc = to_document(linear_pn((0, 1, 3)))
+    doc = json.loads(to_json(linear_pn((0, 1, 3))))
     data = validate(doc)
     assert [p.weights for p in data.points] == [(-3, -1), (-2, 1), (2, 3)]
 
@@ -264,7 +263,7 @@ def test_betti_numbers_count_each_point_by_its_negative_count(case):
     data = FixedPointData(n, tuple(FixedPointDatum(f"P{i}", row) for i, row in enumerate(rows)))
     counts = [0] * (n + 1)
     for point in data.points:
-        counts[point.negative_count] += 1
+        counts[sum(w < 0 for w in point.weights)] += 1
     assert betti_numbers(data) == tuple(counts)
 
 
@@ -303,17 +302,12 @@ def test_datum_accepts_int_subclasses():
 
     datum = FixedPointDatum("P", [Weight(2), -1, Weight(-3)])
     assert datum.weights == (-3, -1, 2)
-    assert datum.negative_count == 2
-
-
-@given(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
-def test_negative_count_counts_the_negative_weights(weights):
-    assert FixedPointDatum("P", weights).negative_count == sum(w < 0 for w in weights)
+    assert betti_numbers(FixedPointData(3, (datum,))) == (0, 0, 1, 0)
 
 
 def test_bundle_weight_operations():
     bundle = BundleWeights((0, 1, 3))
-    assert bundle.shifted(5).values == (5, 6, 8)
+    assert BundleWeights(v + 5 for v in bundle).normalized() == bundle
     assert BundleWeights((5, 6, 8)).normalized().values == (0, 1, 3)
     assert bundle.pairwise_distinct()
     assert not BundleWeights((0, 0, 1)).pairwise_distinct()
@@ -426,6 +420,20 @@ def test_round_trip_is_idempotent(data):
     text = serialize(data)
     again = validate(json.loads(text))
     assert serialize(again) == text
+    assert to_json(data) == text
+    assert loads(to_json(data)) == data
+
+
+def test_to_json_writes_nested_data_as_the_interchange_document():
+    with_bundle = linear_pn((0, 1, 3))
+    without = FixedPointData(1, (FixedPointDatum("A", [2]),))
+    documents = [json.loads(serialize(data)) for data in (with_bundle, without)]
+    assert [list(d) for d in documents] == [
+        ["n", "fixed_points", "bundle_weights"], ["n", "fixed_points"]
+    ]
+    assert to_json({"survivors": [with_bundle, without]}) == (
+        json.dumps({"survivors": documents}, indent=2) + "\n"
+    )
 
 
 @given(fixed_point_data())

@@ -256,7 +256,7 @@ def test_hattori_verdict_propagates_derivation_failure():
 def test_verdict_invariant_under_bundle_shift(n, shift, rng):
     values = tuple(rng.sample(range(-20, 21), n + 1))
     data = linear_pn(values)
-    shifted = hattori_verdict(data, bundle=data.bundle.shifted(shift))
+    shifted = hattori_verdict(data, bundle=BundleWeights(v + shift for v in data.bundle))
     assert shifted == hattori_verdict(data)
 
 

@@ -16,7 +16,7 @@ PUBLIC = {
     "core": [
         "BundleWeights", "FixedPointData", "FixedPointDatum", "ValidationError",
         "betti_numbers", "dump", "iter_documents", "load", "loads",
-        "projective_profile", "serialize", "to_document", "validate",
+        "projective_profile", "serialize", "validate",
     ],
     "hattori": [
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",
@@ -68,7 +68,7 @@ def test_cli_starts_without_the_rigidity_model_and_search_modules():
 
 def test_public_names_are_unchanged_and_in_order():
     assert fpkit.__all__ == ["__version__", *DEFINED_IN]
-    assert len(fpkit.__all__) == 44
+    assert len(fpkit.__all__) == 43
 
 
 def test_each_public_name_is_its_module_object():
