@@ -25,7 +25,7 @@ from .core import (
     _read_text,
     betti_numbers,
     iter_documents,
-    loads,
+    load,
     projective_profile,
     serialize,
     to_json,
@@ -63,20 +63,9 @@ def _poly_payload(poly: LaurentPoly) -> dict:
     }
 
 
-def _read(path: str) -> str:
-    try:
-        return _read_text(path)  # the parsers skip a leading BOM
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(path: str) -> FixedPointData:
-    return loads(_read(path))
-
-
 def _load_stream(path: str) -> list[FixedPointData]:
     """Every document of a file of one or more concatenated documents."""
-    documents = [validate(raw) for raw in iter_documents(_read(path))]
+    documents = [validate(raw) for raw in iter_documents(_read_text(path))]
     if not documents:
         raise ValidationError(f"{path} holds no document")
     return documents
@@ -165,7 +154,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_hattori(args: argparse.Namespace) -> int:
     from .hattori import BundleDerivationError, hattori_verdict
 
-    data = _load(args.path)
+    data = load(args.path)
     try:
         verdict = hattori_verdict(data)
     except BundleDerivationError as exc:
@@ -200,8 +189,8 @@ def cmd_model(args: argparse.Namespace) -> int:
 def cmd_pair(args: argparse.Namespace) -> int:
     from .models import pair_restriction_check
 
-    ambient = _load(args.ambient)
-    hypersurface = _load(args.hypersurface)
+    ambient = load(args.ambient)
+    hypersurface = load(args.hypersurface)
     embedding = _parse_embedding(args.embedding) if args.embedding else None
     report = pair_restriction_check(ambient, hypersurface, embedding)
     _write_output(_document(vars(report)))
@@ -225,7 +214,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     try:
         max_leaves = SearchSpec.max_leaves if override is None else int(override)
     except ValueError:
-        raise ValidationError(f"FPKIT_MAX_LEAVES must be an integer, got {override!r}")
+        max_leaves = 0  # refused below, with the same message
+    if max_leaves < 1:
+        raise ValidationError(f"FPKIT_MAX_LEAVES must be a positive integer, got {override!r}")
     if args.k0 is not None and not args.require_condition_c:
         raise ValidationError("--k0 only applies together with --require-condition-c")
     k0 = Fraction(args.n + 1) if args.k0 is None else _parse_k0(args.k0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import json
 import operator
 from collections.abc import Iterable, Iterator, Mapping
@@ -88,26 +89,6 @@ def _check_bundle(bundle: Any, count: int, kind: str = "BundleWeights") -> None:
         )
 
 
-def _row(label: Any, weights: Iterable[Any]) -> tuple[int, ...]:
-    """The one check of a point: a string label and nonzero integer weights,
-    returned sorted ascending as exact ints; a zero is named by that order."""
-    if not isinstance(label, str):
-        raise ValidationError(f"point label must be a string, got {label!r}")
-    weights = weights if type(weights) is list else tuple(weights)  # iterated twice
-    if not {*map(type, weights)} <= {int}:
-        # checked in input order, so the first non-integer given is named
-        what = f'weight of point "{label}"'
-        weights = [_check_int(w, what) for w in weights]
-    row = tuple(sorted(weights))
-    zero = bisect.bisect_left(row, 0)
-    if zero < len(row) and row[zero] == 0:
-        raise ValidationError(
-            f'zero weight at point "{label}" (position {zero}): '
-            "isolated fixed points have all weights nonzero"
-        )
-    return row
-
-
 @dataclasses.dataclass(frozen=True)
 class FixedPointDatum:
     """One isolated fixed point: a label and its multiset of nonzero weights.
@@ -119,7 +100,24 @@ class FixedPointDatum:
     weights: tuple[int, ...]
 
     def __init__(self, label: str, weights: Iterable[int]):
-        object.__setattr__(self, "weights", _row(label, weights))
+        """The one check of a point: a string label and nonzero integer
+        weights, stored sorted ascending as exact ints; a zero is named by
+        that order."""
+        if not isinstance(label, str):
+            raise ValidationError(f"point label must be a string, got {label!r}")
+        weights = weights if type(weights) is list else tuple(weights)  # iterated twice
+        if not {*map(type, weights)} <= {int}:
+            # checked in input order, so the first non-integer given is named
+            what = f'weight of point "{label}"'
+            weights = [_check_int(w, what) for w in weights]
+        row = tuple(sorted(weights))
+        zero = bisect.bisect_left(row, 0)
+        if zero < len(row) and row[zero] == 0:
+            raise ValidationError(
+                f'zero weight at point "{label}" (position {zero}): '
+                "isolated fixed points have all weights nonzero"
+            )
+        object.__setattr__(self, "weights", row)
         object.__setattr__(self, "label", label)
 
     @property
@@ -195,19 +193,13 @@ class FixedPointData:
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.points)
 
-    @property
+    @functools.cached_property
     def common_denominator(self) -> tuple[int, tuple[int, ...]]:
         """The lcm of the weight products and the signed cofactors lcm // e_i,
         computed on first use and kept, since the instance is frozen."""
-        # a plain memo: before Python 3.12 functools.cached_property locks on
-        # each first access, which the search pays once per candidate
-        memo = self.__dict__.get("_common_denominator")
-        if memo is None:
-            products = [p.weight_product for p in self.points]
-            denominator = lcm(*products)
-            memo = denominator, tuple([denominator // e for e in products])
-            self.__dict__["_common_denominator"] = memo
-        return memo
+        products = [p.weight_product for p in self.points]
+        denominator = lcm(*products)
+        return denominator, tuple([denominator // e for e in products])
 
 
 def validate(raw: Mapping[str, Any]) -> FixedPointData:
@@ -236,7 +228,6 @@ def validate(raw: Mapping[str, Any]) -> FixedPointData:
     entries = raw["fixed_points"]
     if not isinstance(entries, list) or not entries:
         raise ValidationError('"fixed_points" must be a non-empty list')
-    new, put = object.__new__, object.__setattr__  # each point is checked once, by _row
     points = []
     for index, entry in enumerate(entries):
         if type(entry) is not dict and not isinstance(entry, Mapping):
@@ -252,10 +243,7 @@ def validate(raw: Mapping[str, Any]) -> FixedPointData:
         label, weights = entry["label"], entry["weights"]
         if not isinstance(weights, list):
             raise ValidationError(f'"weights" of fixed point at index {index} must be a list')
-        point = new(FixedPointDatum)
-        put(point, "weights", _row(label, weights))
-        put(point, "label", label)
-        points.append(point)
+        points.append(FixedPointDatum(label, weights))
     bundle = None
     if "bundle_weights" in raw:
         if not isinstance(raw["bundle_weights"], list):
@@ -299,12 +287,13 @@ def loads(text: str) -> FixedPointData:
 
 def _read_text(path) -> str:
     """The one file reader: what ``open(path, encoding="utf-8").read()`` returns
-    (CR and CRLF line ends read as LF), from one raw read and one decode."""
-    with open(path, "rb", buffering=0) as handle:
-        try:
+    (CR and CRLF line ends read as LF), from one raw read and one decode.
+    A file that cannot be opened or is not UTF-8 raises ValidationError."""
+    try:
+        with open(path, "rb", buffering=0) as handle:
             text = handle.readall().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
@@ -313,8 +302,8 @@ def _read_text(path) -> str:
 def load(path) -> FixedPointData:
     """Validate the JSON interchange document at ``path``.
 
-    A file that is not UTF-8 raises ValidationError, as a malformed document
-    does; a file that cannot be opened raises OSError.
+    A file that cannot be opened or is not UTF-8 raises ValidationError, as
+    a malformed document does.
     """
     return loads(_read_text(path))  # loads skips a leading BOM
 

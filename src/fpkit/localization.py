@@ -46,7 +46,7 @@ def localize(data: FixedPointData, columns: Iterable[Sequence[int]]) -> list[Fra
 
 def _residue_numerators(data: FixedPointData, top: int) -> list[int]:
     # entry r is sum_i c_i s_i^r (cofactors c_i, weight sums s_i) for r up to
-    # max(n, top), kept with the same plain memo as the common denominator
+    # max(n, top), kept in a plain memo, since it grows with the requested power
     table = data.__dict__.get("_residue_numerators")
     if table is None or len(table) <= top:
         terms = data.common_denominator[1]

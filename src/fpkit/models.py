@@ -113,7 +113,11 @@ def pair_restriction_check(
     ambient_points = {p.label: p for p in ambient.points}
     labels = hypersurface.labels
     mapping = dict(zip(labels, labels) if embedding is None else embedding)
-    if set(mapping) != set(labels):
+    known = set(labels)
+    for source in mapping:
+        if source not in known:
+            raise ValidationError(f"embedding names unknown hypersurface point {source!r}")
+    if len(mapping) != len(known):
         raise ValidationError(
             "embedding must assign an image to every hypersurface point"
         )

@@ -363,10 +363,12 @@ def test_search_respects_leaf_budget_env(capsys, monkeypatch):
     code, _, err = run(capsys, "search", "--n", "2", "--bound", "4")
     assert code == 2
     assert "raise max_leaves" in err
-    monkeypatch.setenv("FPKIT_MAX_LEAVES", "not-a-number")
-    code, _, err = run(capsys, "search", "--n", "1", "--bound", "2")
-    assert code == 2
-    assert "FPKIT_MAX_LEAVES" in err
+    # a value that is no positive integer names the variable, not a field
+    for value in ("not-a-number", "0", "-5"):
+        monkeypatch.setenv("FPKIT_MAX_LEAVES", value)
+        code, out, err = run(capsys, "search", "--n", "1", "--bound", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: FPKIT_MAX_LEAVES must be a positive integer, got {value!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -536,15 +538,23 @@ def test_unknown_command_exits_with_usage_error(capsys):
 
 
 def test_missing_file_is_invalid_input(capsys, tmp_path):
-    code, _, err = run(capsys, "validate", "/nonexistent/file.json")
-    assert code == 2
-    assert err
+    missing = str(tmp_path / "missing.json")
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b'\xff{"n": 1}')
-    for command in ("validate", "hattori"):
-        code, _, err = run(capsys, command, str(undecodable))
-        assert code == 2
-        assert err.startswith("error: cannot read")
+    good = tmp_path / "good.json"
+    dump(linear_pn((0, 1, 3)), good)
+    for bad in (missing, str(undecodable)):
+        # every command that reads a file, and each argument of pair
+        for argv in (
+            ["validate", bad],
+            ["report", bad],
+            ["hattori", bad],
+            ["pair", bad, str(good)],
+            ["pair", str(good), bad],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: cannot read {bad}: ")
 
 
 @pytest.mark.parametrize("module", ["fpkit", "fpkit.cli"])
@@ -837,6 +847,16 @@ POINT_A = {"label": "A", "weights": [1]}
             ["pair", "model.json", "line.json", "--embedding", ","],
             None,
             "embedding is empty",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", "P1=P1,P2=P2,X=P3"],
+            None,
+            "embedding names unknown hypersurface point 'X'",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", "P1=P1"],
+            None,
+            "embedding must assign an image to every hypersurface point",
         ),
     ],
 )

@@ -80,17 +80,26 @@ def test_unorderable_weights_name_the_first_non_integer(weights, shown):
         validate({"n": 2, "fixed_points": [{"label": "P", "weights": weights}]})
 
 
-def test_orderable_bad_weights_keep_their_message():
+def _validated_point(label, weights):
+    raw = {"n": len(weights), "fixed_points": [{"label": label, "weights": list(weights)}]}
+    return validate(raw).points[0]
+
+
+@pytest.mark.parametrize("build", [FixedPointDatum, _validated_point], ids=["datum", "validate"])
+def test_orderable_bad_weights_keep_their_message(build):
     # these sort without error; the first non-integer is still named, and
-    # before a zero weight
+    # before a zero weight, the same through either constructor
     with pytest.raises(ValidationError, match=r"got 1\.5$"):
-        FixedPointDatum("P", [2, 1.5])
+        build("P", [2, 1.5])
     with pytest.raises(ValidationError, match=r"got 1\.5$"):
-        FixedPointDatum("P", [0, 1.5])
+        build("P", [0, 1.5])
     with pytest.raises(ValidationError, match="got True$"):
-        FixedPointDatum("P", [1, True])
+        build("P", [1, True])
     with pytest.raises(ValidationError, match="point label must be a string, got 7$"):
-        FixedPointDatum(7, [1, "a"])
+        build(7, [1, "a"])
+    # a zero weight is named by its position in the sorted weights
+    with pytest.raises(ValidationError, match=r'^zero weight at point "P" \(position 1\): '):
+        build("P", [3, 0, -1])
 
 
 def test_smallest_linear_document_is_valid():
@@ -347,8 +356,12 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(text.replace('"P1"', '"P\u00e9"').encode("latin-1"))
     with pytest.raises(ValidationError, match=f"^cannot read {re.escape(str(path))}: "):
         load(path)
-    with pytest.raises(FileNotFoundError):
-        load(tmp_path / "missing.json")
+    # a file that cannot be opened is invalid input too, chained from the OSError
+    missing = tmp_path / "missing.json"
+    message = f"^cannot read {re.escape(str(missing))}: "
+    with pytest.raises(ValidationError, match=message) as caught:
+        load(missing)
+    assert isinstance(caught.value.__cause__, FileNotFoundError)
 
 
 # pieces of a file: the three line ends, ASCII, and two- to four-byte UTF-8

@@ -185,6 +185,10 @@ def test_pair_restriction_validates_embedding():
     hypersurface = linear_pn((0, 1))
     with pytest.raises(ValidationError, match="every hypersurface point"):
         pair_restriction_check(ambient, hypersurface, {"P1": "P1"})
+    # an unknown source is named first, though every point has an image
+    embedding = {"P1": "P1", "P2": "P2", "X": "P3"}
+    with pytest.raises(ValidationError, match="^embedding names unknown hypersurface point 'X'$"):
+        pair_restriction_check(ambient, hypersurface, embedding)
     with pytest.raises(ValidationError, match="injective"):
         pair_restriction_check(ambient, hypersurface, {"P1": "P1", "P2": "P1"})
     with pytest.raises(ValidationError, match="unknown ambient point"):
