@@ -24,12 +24,12 @@ _EXPORTS = {
     ),
     "hattori": (
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",
-        "ConditionCError", "PointMismatch", "RigidityVerdict", "check_condition_c",
-        "derive_bundle_weights", "first_chern_candidates", "hattori_verdict",
+        "PointMismatch", "RigidityVerdict", "derive_bundle_weights",
+        "first_chern_candidates", "hattori_verdict",
     ),
     "laurent": ("LaurentPoly",),
     "localization": (
-        "c1cn1_from_k2", "c1_power", "chern_monomial", "chi_y_from_data",
+        "c1cn1_from_k2", "chern_monomial", "chi_y_from_data",
         "chi_y_hrr_projective", "k_coefficients", "line_bundle_power",
         "residue_constraints_hold", "residue_sum",
     ),

@@ -74,9 +74,6 @@ class BundleWeights:
             return self
         return BundleWeights(v - self.values[0] for v in self.values)
 
-    def pairwise_distinct(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
 
 def _check_bundle(bundle: Any, count: int, kind: str = "BundleWeights") -> None:
     """The one bundle-argument check: ``bundle`` is a :class:`BundleWeights`

@@ -18,27 +18,13 @@ import dataclasses
 from fractions import Fraction
 
 from . import localization
-from .core import BundleWeights, FixedPointData, ValidationError, _check_bundle, _check_int
+from .core import BundleWeights, FixedPointData, ValidationError, _check_int
 from .models import _pairwise_differences
 
 
-class _PointError(ValueError):
-    """A failure located at one point, carrying its index and label."""
-
-    def __init__(self, message: str, index: int, label: str):
-        super().__init__(message)
-        self.index = index
-        self.label = label
-
-
-class ConditionCError(_PointError):
-    """No integer offset makes weight_sum = k0 * bundle_weight + offset hold
-    at every point.  Carries the first violating point."""
-
-
-class BundleDerivationError(_PointError):
+class BundleDerivationError(ValueError):
     """Bundle weights cannot be recovered from the weight sums because some
-    pairwise difference is not divisible by the point count."""
+    pairwise difference is not divisible by k0."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,28 +80,6 @@ class ChernClassCandidate:
     reason: str
 
 
-def check_condition_c(
-    data: FixedPointData, bundle: BundleWeights, k0: int
-) -> ConditionCCertificate:
-    """Find the unique offset with weight_sum_i = k0 * bundle_i + offset.
-
-    The offset is pinned by the first point; the first point violating the
-    relation is reported in the raised error.
-    """
-    k0 = _check_int(k0, "k0", 0)
-    _check_bundle(bundle, data.point_count)
-    offset = data.points[0].weight_sum - k0 * bundle.values[0]
-    for index, (point, a) in enumerate(zip(data.points, bundle.values)):
-        if point.weight_sum != k0 * a + offset:
-            raise ConditionCError(
-                f"point {point.label} breaks the affine relation: weight sum "
-                f"{point.weight_sum} != {k0} * {a} + {offset}",
-                index=index,
-                label=point.label,
-            )
-    return ConditionCCertificate(k0, offset)
-
-
 def _scale(data: FixedPointData, task: str) -> int:
     """n + 1, which ``task`` needs as the point count of ``data``."""
     if data.point_count != data.n + 1:
@@ -130,23 +94,21 @@ def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> Bundle
     with n+1 points, normalizing the first bundle weight to 0.
 
     ``k0`` defaults to n+1.  Every weight-sum difference from the first point
-    must be divisible by k0; the certificate check_condition_c(data, result,
-    k0) then succeeds by construction.  For k0 = 0 the relation is solvable
-    exactly when all weight sums agree, with the witness a_i = 0.
+    must be divisible by k0; for the default, the verdict's condition C then
+    holds on the result by construction.  For k0 = 0 the relation is
+    solvable exactly when all weight sums agree, with the witness a_i = 0.
     """
     scale = _scale(data, "bundle derivation")
     k0 = scale if k0 is None else _check_int(k0, "k0", 0)
     base = data.points[0].weight_sum
     values = []
-    for index, point in enumerate(data.points):
+    for point in data.points:
         difference = point.weight_sum - base
         quotient, remainder = divmod(difference, k0) if k0 else (0, difference)
         if remainder:
             raise BundleDerivationError(
                 f"bundle derivation failed: weight-sum difference {difference} at "
-                f"point {point.label} is not divisible by {k0}",
-                index=index,
-                label=point.label,
+                f"point {point.label} is not divisible by {k0}"
             )
         values.append(quotient)
     return BundleWeights(tuple(values))
@@ -175,30 +137,32 @@ def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
     return tuple(candidates)
 
 
-def hattori_verdict(
-    data: FixedPointData, bundle: BundleWeights | None = None
-) -> RigidityVerdict:
+def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
     """Run the full rigidity pipeline on data with n+1 points.
 
-    Bundle weights are taken from the explicit argument first, then from
-    the data's attached bundle, and are otherwise derived from the weight
-    sums (which may fail with BundleDerivationError).  The chosen weights
-    are normalized so the first one is 0, making the verdict invariant
-    under a simultaneous shift of the bundle.
+    Bundle weights are the data's attached bundle, and are otherwise derived
+    from the weight sums (which may fail with BundleDerivationError); to
+    judge another bundle, attach it with ``dataclasses.replace(data,
+    bundle=...)``.  The weights are normalized so the first one is 0, making
+    the verdict invariant under a simultaneous shift of the bundle.
     """
     scale = _scale(data, "rigidity check")
-    if bundle is None:  # data.bundle was checked with the data; a derived one fits
-        bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
-    else:
-        _check_bundle(bundle, scale, "BundleWeights or None")
+    # data.bundle was checked with the data; a derived one fits
+    bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
     normalized = bundle.normalized()
-    try:
-        certificate = check_condition_c(data, normalized, scale)
-        violation = None
-    except ConditionCError as exc:
-        certificate = None
-        violation = str(exc)
     values = normalized.values
+    # condition C for k0 = n+1: as the first normalized weight is 0, the first
+    # point pins the offset to its weight sum
+    offset = data.points[0].weight_sum
+    for point, a in zip(data.points, values):
+        if point.weight_sum != scale * a + offset:
+            certificate, violation = None, (
+                f"point {point.label} breaks the affine relation: weight sum "
+                f"{point.weight_sum} != {scale} * {a} + {offset}"
+            )
+            break
+    else:
+        certificate, violation = ConditionCCertificate(scale, offset), None
     mismatches = [
         PointMismatch(point.label, expected, point.weights)
         for point, expected in zip(data.points, _pairwise_differences(values))
@@ -212,7 +176,7 @@ def hattori_verdict(
         bundle_power, quasi_ample = Fraction(1), True
     else:
         bundle_power = localization.line_bundle_power(data, normalized)
-        quasi_ample = normalized.pairwise_distinct() and bundle_power != 0
+        quasi_ample = len(set(values)) == len(values) and bundle_power != 0
     return RigidityVerdict(
         passes=passes,
         normalized_bundle=values,

@@ -78,11 +78,6 @@ def residue_constraints_hold(data: FixedPointData) -> bool:
     return not any(_residue_numerators(data, data.n)[: data.n])
 
 
-def c1_power(data: FixedPointData) -> Fraction:
-    """residue_sum at power n: the Chern number c_1^n for consistent data."""
-    return residue_sum(data, data.n)
-
-
 def _balanced_digits(acc: int, bits: int, count: int) -> list[int]:
     """The ``count`` lowest balanced base-2^bits digits of ``acc``, lowest
     first, each in [-2^(bits - 1), 2^(bits - 1)).

@@ -88,10 +88,6 @@ class SearchSpec:
             if self.k0 < 0:
                 raise ValidationError(f"k0 must be nonnegative, got {self.k0}")
 
-    @property
-    def point_count(self) -> int:
-        return self.n + 1
-
 
 @dataclasses.dataclass(frozen=True)
 class RigidityExperiment:
@@ -130,7 +126,7 @@ def leaf_count(spec: SearchSpec) -> int:
     # size-n multisets over the 2B admissible values, then (n+1)-multisets
     # of those
     pool_size = math.comb(2 * spec.bound + spec.n - 1, spec.n)
-    return math.comb(pool_size + spec.point_count - 1, spec.point_count)
+    return math.comb(pool_size + spec.n, spec.n + 1)
 
 
 def _accept(spec: SearchSpec, data: FixedPointData) -> bool:
@@ -213,7 +209,7 @@ def enumerate_survivors(spec: SearchSpec) -> Iterator[FixedPointData]:
             f"search space has more than {budget} raw leaves; raise max_leaves to proceed"
         )
     pool = _weight_pool(spec)
-    n, m = spec.n, spec.point_count
+    n, m = spec.n, spec.n + 1
     scale = math.lcm(*(product for _, product, _ in pool))
     radix = 2 * m * scale * (n * spec.bound) ** (n - 1) + 1
     keys = [sum((scale // e) * s**r * radix**r for r in range(n)) for s, e, _ in pool]

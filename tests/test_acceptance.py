@@ -6,6 +6,7 @@ comparisons are exact (rational arithmetic, no tolerances); the criteria
 that pin a runtime assert it with a wall-clock measurement.
 """
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fpkit.core import (
     serialize,
 )
 from fpkit.hattori import (
-    check_condition_c,
+    ConditionCCertificate,
     derive_bundle_weights,
     first_chern_candidates,
     hattori_verdict,
@@ -26,7 +27,6 @@ from fpkit.hattori import (
 from fpkit.laurent import LaurentPoly
 from fpkit.localization import (
     c1cn1_from_k2,
-    c1_power,
     chern_monomial,
     chi_y_from_data,
     chi_y_hrr_projective,
@@ -84,10 +84,10 @@ def test_criterion_04_quasi_ampleness():
         for _ in range(TUPLES_PER_DIMENSION):
             data = linear_pn(random_distinct(rng, n + 1))
             assert line_bundle_power(data, data.bundle) == 1
-            assert hattori_verdict(data, data.bundle).quasi_ample
+            assert hattori_verdict(data).quasi_ample
             inverted = BundleWeights(tuple(-a for a in data.bundle.values))
             assert line_bundle_power(data, inverted) == (-1) ** n
-            assert hattori_verdict(data, inverted).quasi_ample
+            assert hattori_verdict(dataclasses.replace(data, bundle=inverted)).quasi_ample
 
 
 def test_criterion_05_condition_c():
@@ -98,9 +98,8 @@ def test_criterion_05_condition_c():
             data = linear_pn(values)
             derived = derive_bundle_weights(data)
             assert derived.values == tuple(a - values[0] for a in values)
-            certificate = check_condition_c(data, derived, n + 1)
-            assert certificate.k0 == n + 1
-            assert certificate.offset == -sum(derived.values)
+            certificate = hattori_verdict(data).condition_c
+            assert certificate == ConditionCCertificate(n + 1, -sum(derived.values))
 
 
 def test_criterion_06_rigidity_pipeline():
@@ -192,7 +191,7 @@ def test_criterion_11_distinctness():
     nonzero = 0
     for spec in (SearchSpec(n=1, bound=10), SearchSpec(n=2, bound=4)):
         for data in enumerate_survivors(spec):
-            if c1_power(data) != 0:
+            if residue_sum(data, data.n) != 0:
                 nonzero += 1
                 sums = [p.weight_sum for p in data.points]
                 assert len(set(sums)) == len(sums), data
@@ -213,4 +212,4 @@ def test_criterion_11_distinctness():
         assert len(sums) <= data.n
         columns = [[int(p.weight_sum == s) for p in data.points] for s in sums]
         assert localize(data, columns) == [0] * len(sums)
-        assert c1_power(data) == 0
+        assert residue_sum(data, data.n) == 0

@@ -717,7 +717,7 @@ def test_output_dataclasses_hold_their_fields_in_declaration_order():
     assert verdict.mismatches
     # P1's weights keep their sum, so the affine relation still holds
     skewed = FixedPointData(2, (FixedPointDatum("P1", (-5, 1)), *data.points[1:]))
-    with_certificate = hattori_verdict(skewed, data.bundle)
+    with_certificate = hattori_verdict(dataclasses.replace(skewed, bundle=data.bundle))
     assert with_certificate.condition_c is not None and with_certificate.mismatches
     report = pair_restriction_check(data, linear_pn((0, 1)))
     assert report.points

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,9 +16,7 @@ from fpkit.core import (
 from fpkit.hattori import (
     BundleDerivationError,
     ConditionCCertificate,
-    ConditionCError,
     PointMismatch,
-    check_condition_c,
     derive_bundle_weights,
     first_chern_candidates,
     hattori_verdict,
@@ -27,49 +26,27 @@ from fpkit.search import SearchSpec, enumerate_survivors
 
 
 def test_condition_c_certificate_on_reference_model():
-    data = linear_pn((0, 1, 3))
-    certificate = check_condition_c(data, data.bundle, 3)
-    assert certificate.k0 == 3
-    assert certificate.offset == -4
+    certificate = hattori_verdict(linear_pn((0, 1, 3))).condition_c
+    assert certificate == ConditionCCertificate(3, -4)
 
 
 def test_condition_c_symbolic_offset_for_any_linear_model():
     rng = random.Random(11)
     for n in range(1, 6):
         values = tuple(rng.sample(range(-20, 21), n + 1))
-        data = linear_pn(values)
-        certificate = check_condition_c(data, data.bundle, n + 1)
-        assert certificate.offset == -sum(values)
-
-
-def test_condition_c_degenerate_multiplier():
-    data = FixedPointData(
-        1, (FixedPointDatum("A", (2,)), FixedPointDatum("B", (2,)))
-    )
-    certificate = check_condition_c(data, BundleWeights((7, -3)), 0)
-    assert certificate.k0 == 0
-    assert certificate.offset == 2
+        certificate = hattori_verdict(linear_pn(values)).condition_c
+        assert certificate.offset == -sum(a - values[0] for a in values)
 
 
 def test_condition_c_failure_names_first_violation():
-    data = linear_pn((0, 1, 3))
-    with pytest.raises(ConditionCError) as excinfo:
-        check_condition_c(data, data.bundle, 2)
-    assert excinfo.value.label == "P2"
-    assert excinfo.value.index == 1
-
-
-def test_condition_c_rejects_bad_multiplier_and_misalignment():
-    data = linear_pn((0, 1))
-    with pytest.raises(ValidationError):
-        check_condition_c(data, data.bundle, -1)
-    with pytest.raises(ValidationError):
-        check_condition_c(data, BundleWeights((0,)), 2)
-    for k0, shown in ((1.5, r"1\.5"), (True, "True")):
-        with pytest.raises(
-            ValidationError, match=f"k0 must be a nonnegative integer, got {shown}$"
-        ):
-            check_condition_c(data, data.bundle, k0)
+    # the weight sums -4, -1, 5 meet the relation for k0 = 3 with the bundle
+    # (0, 1, 3); moving the second bundle weight breaks it there first
+    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3)))
+    verdict = hattori_verdict(data)
+    assert verdict.condition_c is None
+    assert verdict.condition_c_violation == (
+        "point P2 breaks the affine relation: weight sum -1 != 3 * 2 + -4"
+    )
 
 
 def test_derive_bundle_weights_reference_cases():
@@ -85,17 +62,14 @@ def test_derive_bundle_weights_requires_divisibility():
     data = FixedPointData(
         1, (FixedPointDatum("P1", (1,)), FixedPointDatum("P2", (2,)))
     )
-    with pytest.raises(BundleDerivationError) as excinfo:
+    with pytest.raises(BundleDerivationError, match="at point P2 is not divisible by 2$"):
         derive_bundle_weights(data)
-    assert excinfo.value.label == "P2"
 
 
 def test_derive_bundle_weights_with_an_explicit_multiplier():
     data = linear_pn((0, 1, 3))  # weight sums -4, -1, 5
     assert derive_bundle_weights(data, 3) == derive_bundle_weights(data)
     assert derive_bundle_weights(data, 1).values == (0, 3, 9)
-    certificate = check_condition_c(data, derive_bundle_weights(data, 1), 1)
-    assert certificate == ConditionCCertificate(1, -4)
     with pytest.raises(BundleDerivationError, match="3 at point P2 is not divisible by 2$"):
         derive_bundle_weights(data, 2)
     # k0 = 0: solvable exactly when every weight sum agrees, with a_i = 0
@@ -119,10 +93,11 @@ def test_derive_bundle_weights_requires_matching_point_count():
 
 def test_quasi_ample_examples():
     data = linear_pn((0, 1, 3))
-    assert hattori_verdict(data, data.bundle).quasi_ample
-    assert not hattori_verdict(data, BundleWeights((0, 0, 1))).quasi_ample
+    assert hattori_verdict(data).quasi_ample
+    repeated = dataclasses.replace(data, bundle=BundleWeights((0, 0, 1)))
+    assert not hattori_verdict(repeated).quasi_ample
     inverted = BundleWeights(tuple(-a for a in data.bundle.values))
-    assert hattori_verdict(data, inverted).quasi_ample
+    assert hattori_verdict(dataclasses.replace(data, bundle=inverted)).quasi_ample
 
 
 def test_quasi_ample_rejects_zero_top_power():
@@ -135,8 +110,9 @@ def test_quasi_ample_rejects_zero_top_power():
             FixedPointDatum("P2", (1, 1)),
             FixedPointDatum("P3", (-1, 1)),
         ),
+        BundleWeights((0, 1, -1)),
     )
-    verdict = hattori_verdict(data, BundleWeights((0, 1, -1)))
+    verdict = hattori_verdict(data)
     assert verdict.bundle_power == 0
     assert not verdict.quasi_ample
 
@@ -208,12 +184,12 @@ def test_hattori_verdict_localizes_single_point_mismatch():
     assert verdict.mismatches[0].actual == (1, 3)
 
 
-def test_hattori_verdict_prefers_explicit_then_attached_bundle():
+def test_hattori_verdict_uses_the_attached_bundle_else_derives_one():
     data = linear_pn((0, 1, 3))
     stripped = FixedPointData(2, data.points)
     assert hattori_verdict(stripped).passes
     wrong = BundleWeights((0, 2, 1))
-    verdict = hattori_verdict(data, bundle=wrong)
+    verdict = hattori_verdict(dataclasses.replace(data, bundle=wrong))
     assert not verdict.passes
     assert verdict.normalized_bundle == (0, 2, 1)
 
@@ -226,16 +202,16 @@ def test_hattori_verdict_requires_point_count():
 
 
 def test_hattori_verdict_checks_bundle_length():
-    with pytest.raises(ValidationError, match="bundle weight count 2"):
-        hattori_verdict(linear_pn((0, 1, 3)), BundleWeights((0, 1)))
+    with pytest.raises(
+        ValidationError, match="^bundle weight count 2 does not match point count 3$"
+    ):
+        hattori_verdict(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 1))))
 
 
 def test_bundle_arguments_must_be_bundle_weights():
     data = linear_pn((0, 1, 3))
     with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights or None, got \[0, 1, 3\]$"):
-        hattori_verdict(data, [0, 1, 3])
-    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \[0, 1, 3\]$"):
-        check_condition_c(data, [0, 1, 3], 3)
+        hattori_verdict(dataclasses.replace(data, bundle=[0, 1, 3]))
     with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \(0, 1, 3\)$"):
         localization.line_bundle_power(data, (0, 1, 3))
 
@@ -256,14 +232,14 @@ def test_hattori_verdict_propagates_derivation_failure():
 def test_verdict_invariant_under_bundle_shift(n, shift, rng):
     values = tuple(rng.sample(range(-20, 21), n + 1))
     data = linear_pn(values)
-    shifted = hattori_verdict(data, bundle=BundleWeights(v + shift for v in data.bundle))
-    assert shifted == hattori_verdict(data)
+    shifted = BundleWeights(v + shift for v in data.bundle)
+    assert hattori_verdict(dataclasses.replace(data, bundle=shifted)) == hattori_verdict(data)
 
 
 @st.composite
 def verdict_inputs(draw):
     # n+1-point data: a linear model, one with a single weight changed, or
-    # random weights; with an explicit, an attached or a derived bundle
+    # random weights; with the model's bundle, another one or none attached
     n = draw(st.integers(min_value=1, max_value=4))
     values = draw(
         st.lists(
@@ -287,28 +263,27 @@ def verdict_inputs(draw):
             FixedPointDatum(p.label, draw(st.lists(weight, min_size=n, max_size=n)))
             for p in points
         ]
-    source = draw(st.sampled_from(["explicit", "attached", "derived"]))
-    data = FixedPointData(n, tuple(points), None if source == "derived" else data.bundle)
-    if source != "explicit":
-        return data, None
-    bundle = draw(st.sampled_from(["shifted", "perturbed", "random"]))
-    if bundle == "random":
-        explicit = draw(
-            st.lists(st.integers(min_value=-6, max_value=6), min_size=n + 1, max_size=n + 1)
-        )
-        return data, BundleWeights(tuple(explicit))
-    shift = draw(st.integers(min_value=-5, max_value=5))
-    shifted = [a + shift for a in values]
-    if bundle == "perturbed":
-        shifted[draw(st.integers(min_value=0, max_value=n))] += draw(weight)
-    return data, BundleWeights(tuple(shifted))
+    source = draw(st.sampled_from(["other", "model", "derived"]))
+    bundle = None if source == "derived" else data.bundle
+    if source == "other":
+        kind = draw(st.sampled_from(["shifted", "perturbed", "random"]))
+        if kind == "random":
+            bundle = draw(
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=n + 1, max_size=n + 1)
+            )
+        else:
+            shift = draw(st.integers(min_value=-5, max_value=5))
+            bundle = [a + shift for a in values]
+            if kind == "perturbed":
+                bundle[draw(st.integers(min_value=0, max_value=n))] += draw(weight)
+        bundle = BundleWeights(bundle)
+    return FixedPointData(n, tuple(points), bundle)
 
 
 @given(verdict_inputs())
-def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(inputs):
-    data, bundle = inputs
+def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(data):
     try:
-        verdict = hattori_verdict(data, bundle)
+        verdict = hattori_verdict(data)
     except BundleDerivationError:
         return
     reference = (
@@ -318,6 +293,33 @@ def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(inputs):
         and not verdict.mismatches
     )
     assert verdict.passes == reference
+
+
+@given(verdict_inputs())
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3))))
+def test_condition_c_is_the_affine_relation_with_multiplier_n_plus_one(data):
+    # the relation holds iff s_i - s_0 = (n+1)(a_i - a_0) at every point; the
+    # certificate and the message are those of the normalized bundle
+    try:
+        verdict = hattori_verdict(data)
+    except BundleDerivationError:
+        return
+    bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
+    a = [v - bundle.values[0] for v in bundle.values]
+    s = [p.weight_sum for p in data.points]
+    k0 = data.n + 1
+    offset = s[0] - k0 * a[0]
+    failing = [i for i in range(len(s)) if s[i] - s[0] != k0 * (a[i] - a[0])]
+    if not failing:
+        assert verdict.condition_c == ConditionCCertificate(k0, offset)
+        assert verdict.condition_c_violation is None
+    else:
+        i = failing[0]
+        assert verdict.condition_c is None
+        assert verdict.condition_c_violation == (
+            f"point {data.points[i].label} breaks the affine relation: "
+            f"weight sum {s[i]} != {k0} * {a[i]} + {offset}"
+        )
 
 
 def reference_mismatches(data, values):
@@ -333,22 +335,21 @@ def reference_mismatches(data, values):
 
 
 @given(verdict_inputs())
-@example((linear_pn((0, 1, 3)), BundleWeights((0, 0, 1))))
-@example((linear_pn((0, 1, 3)), BundleWeights((4, 4, 4))))
-def test_verdict_is_held_to_the_localization_kernel(inputs):
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 0, 1))))
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((4, 4, 4))))
+def test_verdict_is_held_to_the_localization_kernel(data):
     # a passing verdict reads its top power off the Lagrange identity; the
     # kernel and the old per-point sort are the references for every verdict
-    data, bundle = inputs
     try:
-        verdict = hattori_verdict(data, bundle)
+        verdict = hattori_verdict(data)
     except BundleDerivationError:
         return
-    if bundle is None:
-        bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
+    bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
     normalized = bundle.normalized()
     power = localization.line_bundle_power(data, normalized)
     assert verdict.bundle_power == power
-    assert verdict.quasi_ample == (normalized.pairwise_distinct() and power != 0)
+    distinct = len(set(normalized.values)) == len(normalized.values)
+    assert verdict.quasi_ample == (distinct and power != 0)
     assert verdict.mismatches == reference_mismatches(data, normalized.values)
 
 

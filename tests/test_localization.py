@@ -17,14 +17,13 @@ from fpkit.core import (
     ValidationError,
     betti_numbers,
 )
-from fpkit.hattori import check_condition_c, first_chern_candidates
+from fpkit.hattori import derive_bundle_weights, first_chern_candidates
 from fpkit.laurent import LaurentPoly
 from fpkit import localization
 from fpkit.localization import (
     _ZERO,
     _elementary_symmetric,
     c1cn1_from_k2,
-    c1_power,
     chern_monomial,
     chi_y_from_data,
     chi_y_hrr_projective,
@@ -45,7 +44,7 @@ def test_residue_sums_on_reference_model():
     data = linear_pn((0, 1, 3))
     assert residue_sum(data, 0) == 0
     assert residue_sum(data, 1) == 0
-    assert residue_sum(data, 2) == c1_power(data) == 9
+    assert residue_sum(data, 2) == 9
     assert residue_sum(data, 0) == Fraction(1, 3) - Fraction(1, 2) + Fraction(1, 6)
     # the weight sums are distinct, so each one's indicator column reads one
     # point's reciprocal weight product
@@ -96,22 +95,22 @@ def test_residue_constraints_examples():
 
 
 def test_c1_power_examples():
-    assert c1_power(linear_pn((0, 1))) == 2
-    assert c1_power(linear_pn((0, 1, 3))) == 9
+    assert residue_sum(linear_pn((0, 1)), 1) == 2
+    assert residue_sum(linear_pn((0, 1, 3)), 2) == 9
 
 
 def test_c1_power_on_random_models_is_dimension_power():
     rng = random.Random(7)
     for n in range(1, 7):
         for values in distinct_tuples(rng, 3, n + 1):
-            assert c1_power(linear_pn(values)) == (n + 1) ** n
+            assert residue_sum(linear_pn(values), n) == (n + 1) ** n
 
 
 def test_chern_monomial_reference_values():
     data = linear_pn((0, 1, 3))
     assert chern_monomial(data, (2,)) == 3
     assert chern_monomial(data, (1, 1)) == 9
-    assert chern_monomial(linear_pn((0, 1)), (1,)) == c1_power(linear_pn((0, 1)))
+    assert chern_monomial(linear_pn((0, 1)), (1,)) == residue_sum(linear_pn((0, 1)), 1)
 
 
 def test_chern_monomial_on_a_large_projective_model():
@@ -656,9 +655,9 @@ def test_k_coefficients_computes_with_an_exact_int_dimension():
     assert k_coefficients(chi, Half(2)) == k_coefficients(chi, 2) == (3, -3, 1)
 
 
-def test_condition_c_computes_with_an_exact_int_multiplier():
+def test_bundle_derivation_computes_with_an_exact_int_multiplier():
     data = linear_pn((0, 1, 3))
-    assert check_condition_c(data, data.bundle, Half(3)) == check_condition_c(data, data.bundle, 3)
+    assert derive_bundle_weights(data, Half(3)) == derive_bundle_weights(data, 3)
 
 
 def test_residue_sum_and_chern_monomial_compute_with_exact_int_indices():

@@ -20,12 +20,12 @@ PUBLIC = {
     ],
     "hattori": [
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",
-        "ConditionCError", "PointMismatch", "RigidityVerdict", "check_condition_c",
-        "derive_bundle_weights", "first_chern_candidates", "hattori_verdict",
+        "PointMismatch", "RigidityVerdict", "derive_bundle_weights",
+        "first_chern_candidates", "hattori_verdict",
     ],
     "laurent": ["LaurentPoly"],
     "localization": [
-        "c1cn1_from_k2", "c1_power", "chern_monomial", "chi_y_from_data",
+        "c1cn1_from_k2", "chern_monomial", "chi_y_from_data",
         "chi_y_hrr_projective", "k_coefficients", "line_bundle_power",
         "residue_constraints_hold", "residue_sum",
     ],
@@ -68,7 +68,7 @@ def test_cli_starts_without_the_rigidity_model_and_search_modules():
 
 def test_public_names_are_unchanged_and_in_order():
     assert fpkit.__all__ == ["__version__", *DEFINED_IN]
-    assert len(fpkit.__all__) == 43
+    assert len(fpkit.__all__) == 40
 
 
 def test_each_public_name_is_its_module_object():

@@ -221,7 +221,8 @@ def test_quasi_ampleness_fails_on_survivors_only_by_repeated_weights(n, bound, r
     flagged = [data for data, why in experiment.hypothesis_failures if why == reason]
     assert len(flagged) == repeated
     for data in flagged:
-        assert not derive_bundle_weights(data).pairwise_distinct(), data
+        derived = derive_bundle_weights(data).values
+        assert len(set(derived)) < len(derived), data
 
 
 def test_survivor_meeting_every_hypothesis_but_failing_is_a_counterexample(
