@@ -23,6 +23,7 @@ from .core import (
     FixedPointData,
     ValidationError,
     _read_text,
+    _write_text,
     betti_numbers,
     iter_documents,
     load,
@@ -75,12 +76,8 @@ def _write_output(text: str, path: str | None = None) -> None:
     """The one writer of command output: stdout, or the file at ``path``."""
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    else:
+        _write_text(path, text)
 
 
 def _parse_weights(raw: str) -> tuple[int, ...]:
@@ -152,14 +149,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_hattori(args: argparse.Namespace) -> int:
-    from .hattori import BundleDerivationError, hattori_verdict
+    from .hattori import hattori_verdict
 
-    data = load(args.path)
-    try:
-        verdict = hattori_verdict(data)
-    except BundleDerivationError as exc:
-        _write_output(_document({"passes": False, "error": str(exc)}))
-        return EXIT_FAIL
+    verdict = hattori_verdict(load(args.path))
     _write_output(_document(vars(verdict)))
     return EXIT_OK if verdict.passes else EXIT_FAIL
 
@@ -191,7 +183,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
     ambient = load(args.ambient)
     hypersurface = load(args.hypersurface)
-    embedding = _parse_embedding(args.embedding) if args.embedding else None
+    embedding = None if args.embedding is None else _parse_embedding(args.embedding)
     report = pair_restriction_check(ambient, hypersurface, embedding)
     _write_output(_document(vars(report)))
     return EXIT_OK if report.passes else EXIT_FAIL
@@ -203,7 +195,7 @@ def _weights_payload(data: FixedPointData) -> list[list[int]]:
 
 def _counterexample_payload(data: FixedPointData, verdict: RigidityVerdict) -> dict:
     payload = {"weights": _weights_payload(data), **vars(verdict)}
-    del payload["passes"], payload["condition_c"]
+    del payload["passes"], payload["condition_c"], payload["hypothesis_failure"]
     return payload
 
 

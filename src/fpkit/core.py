@@ -296,6 +296,15 @@ def _read_text(path) -> str:
     return text
 
 
+def _write_text(path, text: str) -> None:
+    """The one file writer, in UTF-8; a failed write raises ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def load(path) -> FixedPointData:
     """Validate the JSON interchange document at ``path``.
 
@@ -357,8 +366,7 @@ def serialize(data: FixedPointData) -> str:
 
 
 def dump(data: FixedPointData, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize(data))
+    _write_text(path, serialize(data))
 
 
 def iter_documents(text: str) -> Iterator[dict[str, Any]]:

@@ -2,8 +2,9 @@
 
 :func:`hattori_verdict` decides, from fixed-point data alone, whether the
 hypotheses of Hattori's rigidity theorem hold (an affine relation between
-weight sums and line-bundle weights, and quasi-ampleness: pairwise distinct
-bundle weights with a nonvanishing top power) and whether the advertised
+weight sums and line-bundle weights; quasi-ampleness: pairwise distinct
+bundle weights with a nonvanishing top power; and an integral top power, as
+every line bundle on a closed manifold has) and whether the advertised
 conclusion holds (every weight multiset has the pairwise-difference form of
 the standard projective model, with top bundle power exactly 1).  The
 conclusion is decided first: when it holds, the top power is 1 by the
@@ -57,17 +58,20 @@ class RigidityVerdict:
     ``bundle_power`` is nonzero.  A passing verdict takes ``bundle_power``
     from the Lagrange identity sum_i a_i^n / prod_{j != i} (a_i - a_j) = 1;
     a failing one runs every stage, the localization sum included, so the
-    verdict localizes everything that went wrong.  The fields, in order,
-    are those of the ``fpkit hattori`` document.
+    verdict localizes everything that went wrong.  ``hypothesis_failure``
+    names the first failing hypothesis, or is None; a bundle that cannot be
+    derived fails condition C, with None in the bundle fields.  The fields,
+    in order, are those of the ``fpkit hattori`` document.
     """
 
     passes: bool
-    normalized_bundle: tuple[int, ...]
+    normalized_bundle: tuple[int, ...] | None
     quasi_ample: bool
-    bundle_power: Fraction
+    bundle_power: Fraction | None
     condition_c: ConditionCCertificate | None
     condition_c_violation: str | None
-    mismatches: tuple[PointMismatch, ...]
+    mismatches: tuple[PointMismatch, ...] | None
+    hypothesis_failure: str | None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,14 +145,19 @@ def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
     """Run the full rigidity pipeline on data with n+1 points.
 
     Bundle weights are the data's attached bundle, and are otherwise derived
-    from the weight sums (which may fail with BundleDerivationError); to
-    judge another bundle, attach it with ``dataclasses.replace(data,
-    bundle=...)``.  The weights are normalized so the first one is 0, making
-    the verdict invariant under a simultaneous shift of the bundle.
+    from the weight sums; to judge another bundle, attach it with
+    ``dataclasses.replace(data, bundle=...)``.  The weights are normalized so
+    the first one is 0, making the verdict invariant under a simultaneous
+    shift of the bundle.  Only a wrong point count raises.
     """
     scale = _scale(data, "rigidity check")
     # data.bundle was checked with the data; a derived one fits
-    bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
+    bundle, source = data.bundle, "attached"
+    if bundle is None:
+        try:
+            bundle, source = derive_bundle_weights(data), "derived"
+        except BundleDerivationError as exc:
+            return RigidityVerdict(False, None, False, None, None, str(exc), None, str(exc))
     normalized = bundle.normalized()
     values = normalized.values
     # condition C for k0 = n+1: as the first normalized weight is 0, the first
@@ -171,12 +180,17 @@ def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
     # no mismatch means the data is linear_pn(values): its nonzero weights make
     # the a_i distinct, its top power is sum_i a_i^n / prod_{j != i} (a_i - a_j)
     # = 1, and its weight sums (n+1) a_i - sum(a) meet the relation for k0 = n+1
-    passes = not mismatches
-    if passes:
-        bundle_power, quasi_ample = Fraction(1), True
-    else:
-        bundle_power = localization.line_bundle_power(data, normalized)
-        quasi_ample = len(set(values)) == len(values) and bundle_power != 0
+    passes, distinct = not mismatches, len(set(values)) == len(values)
+    bundle_power = Fraction(1) if passes else localization.line_bundle_power(data, normalized)
+    quasi_ample = distinct and bundle_power != 0
+    # the hypotheses in order, each with the reason it fails
+    ladder = (
+        (violation is None, violation),
+        (distinct, f"{source} bundle weights are not pairwise distinct"),
+        (bundle_power != 0, f"top power of the {source} bundle vanishes"),
+        (bundle_power.denominator == 1, f"top power of the {source} bundle is not an integer"),
+    )
+    failure = next((reason for holds, reason in ladder if not holds), None)
     return RigidityVerdict(
         passes=passes,
         normalized_bundle=values,
@@ -185,4 +199,5 @@ def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
         condition_c=certificate,
         condition_c_violation=violation,
         mismatches=tuple(mismatches),
+        hypothesis_failure=failure,
     )

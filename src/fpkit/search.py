@@ -93,12 +93,10 @@ class SearchSpec:
 class RigidityExperiment:
     """Partition of the survivor stream by the rigidity pipeline.
 
-    ``counterexamples`` holds survivors that satisfy the hypotheses
-    (derivable, pairwise distinct bundle weights with a nonzero integral
-    top power, as every line bundle on a closed manifold has) yet fail the
-    conclusion; a correct theorem makes it empty, so any member is the
-    headline of the report.  ``hypothesis_failures`` pairs each remaining
-    survivor with the reason it falls outside the theorem's scope.
+    ``counterexamples`` holds survivors whose verdict meets every hypothesis
+    yet fails the conclusion; a correct theorem makes it empty, so any
+    member is the headline of the report.  ``hypothesis_failures`` pairs
+    each remaining survivor with its verdict's ``hypothesis_failure``.
     """
 
     survivors: tuple[FixedPointData, ...]
@@ -229,22 +227,9 @@ def rigidity_experiment(spec: SearchSpec) -> RigidityExperiment:
     failures: list[tuple[FixedPointData, str]] = []
     for data in enumerate_survivors(spec):
         survivors.append(data)
-        try:
-            verdict = hattori_verdict(data)
-        except BundleDerivationError as exc:
-            failures.append((data, str(exc)))
-            continue
-        # the hypotheses in order of precedence: a derivable bundle, pairwise
-        # distinct bundle weights, a nonvanishing and integral top power.  A
-        # survivor's derived weights a_i give weight sums s_i = (n+1) a_i + c,
-        # which are distinct when the a_i are; a zero top power sum a_i^n / e_i
-        # would then join the residue constraints r < n in an invertible
-        # Vandermonde system in the nonzero 1/e_i, so quasi_ample fails here
-        # only on repeated weights
-        if not verdict.quasi_ample:
-            failures.append((data, "derived bundle weights are not pairwise distinct"))
-        elif verdict.bundle_power.denominator != 1:
-            failures.append((data, "top power of the derived bundle is not an integer"))
+        verdict = hattori_verdict(data)
+        if verdict.hypothesis_failure is not None:
+            failures.append((data, verdict.hypothesis_failure))
         elif verdict.passes:
             matches.append(data)
         else:

@@ -138,7 +138,27 @@ def test_hattori_underivable_bundle_is_semantic_failure(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "hattori", str(path))
     assert code == 1
-    assert json.loads(out)["passes"] is False
+    document = json.loads(out)
+    assert document["passes"] is False
+    # no integer bundle meets condition C, so that is the failing hypothesis
+    assert document["hypothesis_failure"] == document["condition_c_violation"] == (
+        "bundle derivation failed: weight-sum difference 1 at point B is not divisible by 2"
+    )
+
+
+def test_hattori_names_the_failing_hypothesis_of_a_search_survivor(capsys, tmp_path):
+    # a survivor of --n 2 --bound 8 meets condition C with distinct derived
+    # weights, but its top power 9/4 is not an integer: not a counterexample
+    path = tmp_path / "survivor.json"
+    weights = [[-8, -1], [-2, 2], [1, 8]]
+    points = [{"label": f"P{i + 1}", "weights": w} for i, w in enumerate(weights)]
+    path.write_text(json.dumps({"n": 2, "fixed_points": points}))
+    code, out, err = run(capsys, "hattori", str(path))
+    assert (code, err) == (1, "")
+    document = json.loads(out)
+    assert document["quasi_ample"] is True
+    assert document["bundle_power"] == "9/4"
+    assert document["hypothesis_failure"] == "top power of the derived bundle is not an integer"
 
 
 def test_hattori_wrong_point_count_is_invalid_input(capsys, tmp_path):
@@ -857,6 +877,11 @@ POINT_A = {"label": "A", "weights": [1]}
             ["pair", "model.json", "line.json", "--embedding", "P1=P1"],
             None,
             "embedding must assign an image to every hypersurface point",
+        ),
+        (
+            ["pair", "model.json", "line.json", "--embedding", ""],
+            None,
+            "embedding is empty",
         ),
     ],
 )

@@ -362,6 +362,15 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
     assert isinstance(caught.value.__cause__, FileNotFoundError)
 
 
+def test_dump_rejects_a_path_it_cannot_write(tmp_path):
+    # the writer's failure is invalid input too, chained from the OSError
+    missing = tmp_path / "missing" / "out.json"
+    message = f"^cannot write {re.escape(str(missing))}: "
+    with pytest.raises(ValidationError, match=message) as caught:
+        dump(linear_pn((0, 2, 5)), missing)
+    assert isinstance(caught.value.__cause__, FileNotFoundError)
+
+
 # pieces of a file: the three line ends, ASCII, and two- to four-byte UTF-8
 _PIECES = [b"\n", b"\r", b"\r\n", b"{", b" 1", "\u00e9".encode(), "\u2211".encode(),
            "\U0001d53b".encode()]

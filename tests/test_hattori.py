@@ -17,6 +17,7 @@ from fpkit.hattori import (
     BundleDerivationError,
     ConditionCCertificate,
     PointMismatch,
+    RigidityVerdict,
     derive_bundle_weights,
     first_chern_candidates,
     hattori_verdict,
@@ -115,6 +116,28 @@ def test_quasi_ample_rejects_zero_top_power():
     verdict = hattori_verdict(data)
     assert verdict.bundle_power == 0
     assert not verdict.quasi_ample
+
+
+def test_hypothesis_failure_names_the_first_failing_hypothesis():
+    def failure(rows, bundle=None):
+        points = tuple(FixedPointDatum(f"P{i + 1}", w) for i, w in enumerate(rows))
+        data = FixedPointData(len(rows) - 1, points, bundle and BundleWeights(bundle))
+        return hattori_verdict(data).hypothesis_failure
+
+    cp2 = [(-3, -1), (-2, 1), (2, 3)]
+    assert failure(cp2) is None
+    assert failure(cp2, (0, 2, 3)) == (
+        "point P2 breaks the affine relation: weight sum -1 != 3 * 2 + -4"
+    )
+    assert failure([(1,), (1,)]) == "derived bundle weights are not pairwise distinct"
+    # distinct weights 0, 1, -1 with top power 0/2 + 1/9 + 1/(-9) = 0
+    vanishing = [(1, 2), (3, 3), (-3, 3)]
+    assert failure(vanishing) == "top power of the derived bundle vanishes"
+    assert failure(vanishing, (5, 6, 4)) == "top power of the attached bundle vanishes"
+    # a survivor of the search at n = 2, B = 8, with top power 9/4
+    assert failure([(-8, -1), (-2, 2), (1, 8)]) == (
+        "top power of the derived bundle is not an integer"
+    )
 
 
 def test_first_chern_candidates_reference_rows():
@@ -216,12 +239,23 @@ def test_bundle_arguments_must_be_bundle_weights():
         localization.line_bundle_power(data, (0, 1, 3))
 
 
-def test_hattori_verdict_propagates_derivation_failure():
+def test_hattori_verdict_reports_a_derivation_failure_as_condition_c():
     data = FixedPointData(
         1, (FixedPointDatum("P1", (1,)), FixedPointDatum("P2", (2,)))
     )
-    with pytest.raises(BundleDerivationError):
-        hattori_verdict(data)
+    message = (
+        "bundle derivation failed: weight-sum difference 1 at point P2 is not divisible by 2"
+    )
+    assert hattori_verdict(data) == RigidityVerdict(
+        passes=False,
+        normalized_bundle=None,
+        quasi_ample=False,
+        bundle_power=None,
+        condition_c=None,
+        condition_c_violation=message,
+        mismatches=None,
+        hypothesis_failure=message,
+    )
 
 
 @given(
@@ -282,10 +316,7 @@ def verdict_inputs(draw):
 
 @given(verdict_inputs())
 def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(data):
-    try:
-        verdict = hattori_verdict(data)
-    except BundleDerivationError:
-        return
+    verdict = hattori_verdict(data)
     reference = (
         verdict.quasi_ample
         and verdict.bundle_power == 1
@@ -300,14 +331,24 @@ def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(data):
 def test_condition_c_is_the_affine_relation_with_multiplier_n_plus_one(data):
     # the relation holds iff s_i - s_0 = (n+1)(a_i - a_0) at every point; the
     # certificate and the message are those of the normalized bundle
-    try:
-        verdict = hattori_verdict(data)
-    except BundleDerivationError:
-        return
-    bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
-    a = [v - bundle.values[0] for v in bundle.values]
+    verdict = hattori_verdict(data)
     s = [p.weight_sum for p in data.points]
     k0 = data.n + 1
+    if data.bundle is not None:
+        a = [v - data.bundle.values[0] for v in data.bundle.values]
+    else:
+        # the derived bundle a_i = (s_i - s_0) / k0 exists unless some
+        # difference is not a multiple of k0, and then condition C fails
+        stuck = [i for i in range(len(s)) if (s[i] - s[0]) % k0]
+        if stuck:
+            i = stuck[0]
+            assert verdict.condition_c is None
+            assert verdict.condition_c_violation == (
+                f"bundle derivation failed: weight-sum difference {s[i] - s[0]} "
+                f"at point {data.points[i].label} is not divisible by {k0}"
+            )
+            return
+        a = [(x - s[0]) // k0 for x in s]
     offset = s[0] - k0 * a[0]
     failing = [i for i in range(len(s)) if s[i] - s[0] != k0 * (a[i] - a[0])]
     if not failing:
@@ -340,12 +381,14 @@ def reference_mismatches(data, values):
 def test_verdict_is_held_to_the_localization_kernel(data):
     # a passing verdict reads its top power off the Lagrange identity; the
     # kernel and the old per-point sort are the references for every verdict
-    try:
-        verdict = hattori_verdict(data)
-    except BundleDerivationError:
+    verdict = hattori_verdict(data)
+    if verdict.normalized_bundle is None:
+        # no bundle derives, so nothing is localized
+        assert (verdict.bundle_power, verdict.quasi_ample, verdict.mismatches) == (None, False, None)
         return
     bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
     normalized = bundle.normalized()
+    assert verdict.normalized_bundle == normalized.values
     power = localization.line_bundle_power(data, normalized)
     assert verdict.bundle_power == power
     distinct = len(set(normalized.values)) == len(normalized.values)
@@ -359,11 +402,46 @@ def test_survivors_with_distinct_derived_weights_have_nonzero_top_power():
     distinct = 0
     for n, bound in ((1, 6), (2, 8), (2, 10), (3, 4), (4, 2)):
         for data in enumerate_survivors(SearchSpec(n=n, bound=bound)):
-            try:
-                verdict = hattori_verdict(data)
-            except BundleDerivationError:
+            verdict = hattori_verdict(data)
+            if verdict.normalized_bundle is None:
                 continue
             if len(set(verdict.normalized_bundle)) == data.point_count:
                 distinct += 1
                 assert verdict.bundle_power != 0, data
     assert distinct > 0
+
+
+@given(verdict_inputs())
+@example(linear_pn((0, 1, 3)))
+@example(
+    FixedPointData(
+        2,
+        (
+            FixedPointDatum("P1", (-8, -1)),
+            FixedPointDatum("P2", (-2, 2)),
+            FixedPointDatum("P3", (1, 8)),
+        ),
+    )
+)
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 0, 1))))
+def test_hypothesis_failure_is_the_first_failing_hypothesis(data):
+    # the verdict never raises on valid data; the reference ladder reads the
+    # other fields: condition C, distinct weights, a nonzero and integral power
+    verdict = hattori_verdict(data)
+    source = "attached" if data.bundle is not None else "derived"
+    if verdict.normalized_bundle is None:
+        assert data.bundle is None
+        assert verdict.condition_c_violation.startswith("bundle derivation failed: ")
+        reference = verdict.condition_c_violation
+    elif verdict.condition_c is None:
+        reference = verdict.condition_c_violation
+    elif len(set(verdict.normalized_bundle)) < data.point_count:
+        reference = f"{source} bundle weights are not pairwise distinct"
+    elif verdict.bundle_power == 0:
+        reference = f"top power of the {source} bundle vanishes"
+    elif verdict.bundle_power.denominator != 1:
+        reference = f"top power of the {source} bundle is not an integer"
+    else:
+        reference = None
+    assert verdict.hypothesis_failure == reference
+    assert reference is None or not verdict.passes

@@ -215,7 +215,7 @@ def test_rigidity_experiment_partitions_survivors():
 @pytest.mark.parametrize("n, bound, repeated", [(2, 8, 4), (3, 4, 32), (2, 12, 10)])
 def test_quasi_ampleness_fails_on_survivors_only_by_repeated_weights(n, bound, repeated):
     # distinct derived weights and a zero top power would make the residue
-    # constraints an invertible Vandermonde system, as the experiment argues
+    # constraints an invertible Vandermonde system in the nonzero 1/e_i
     reason = "derived bundle weights are not pairwise distinct"
     experiment = rigidity_experiment(SearchSpec(n=n, bound=bound))
     flagged = [data for data, why in experiment.hypothesis_failures if why == reason]
@@ -233,7 +233,8 @@ def test_survivor_meeting_every_hypothesis_but_failing_is_a_counterexample(
     original = fpkit.search.hattori_verdict
 
     def failing(data):
-        # raises BundleDerivationError where the real verdict does
+        # keeps the real verdict's hypothesis_failure, so a survivor outside
+        # the theorem's scope stays a hypothesis failure
         verdict = original(data)
         return dataclasses.replace(
             verdict, passes=False, quasi_ample=True, bundle_power=Fraction(1)
