@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 # defining module -> the public names it exports, in ``__all__`` order
 _EXPORTS = {
     "core": (
-        "BundleWeights", "FixedPointData", "FixedPointDatum", "ValidationError",
-        "betti_numbers", "dump", "iter_documents", "load", "loads",
-        "projective_profile", "serialize", "validate",
+        "FixedPointData", "FixedPointDatum", "ValidationError", "betti_numbers",
+        "dump", "iter_documents", "load", "loads", "projective_profile",
+        "serialize", "validate",
     ),
     "hattori": (
         "BundleDerivationError", "ChernClassCandidate", "ConditionCCertificate",

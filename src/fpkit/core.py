@@ -44,46 +44,19 @@ def _check_int(value: Any, what: str, minimum: int | None = None) -> int:
     return operator.index(value)
 
 
-@dataclasses.dataclass(frozen=True)
-class BundleWeights:
-    """Line-bundle weights at the fixed points, aligned with the point order.
-
-    Two instances describe the same bundle lift exactly when they differ by
-    one simultaneous integer shift; :meth:`normalized` picks the
-    representative with first entry zero.
-    """
-
-    values: tuple[int, ...]
-
-    def __init__(self, values: Iterable[int]):
-        object.__setattr__(self, "values", tuple(values))
-        if not {*map(type, self.values)} <= {int}:
-            # in input order, so the first bad one is named
-            values = tuple([_check_int(v, "bundle weight") for v in self.values])
-            object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def normalized(self) -> BundleWeights:
-        """The equivalent weight sequence with first entry zero."""
-        if not self.values:
-            return self
-        return BundleWeights(v - self.values[0] for v in self.values)
-
-
-def _check_bundle(bundle: Any, count: int, kind: str = "BundleWeights") -> None:
-    """The one bundle-argument check: ``bundle`` is a :class:`BundleWeights`
-    holding ``count`` weights, one per point."""
-    if not isinstance(bundle, BundleWeights):
-        raise ValidationError(f"bundle must be {kind}, got {bundle!r}")
-    if len(bundle) != count:
+def _bundle(values: Any, count: int) -> tuple[int, ...]:
+    """The one bundle check: ``values`` is a tuple or a list of ``count``
+    integer weights, one per point; returns them as a tuple of exact ints."""
+    if not isinstance(values, (tuple, list)):
+        raise ValidationError(f"bundle must be a tuple or a list of integers, got {values!r}")
+    if not {*map(type, values)} <= {int}:
+        # in input order, so the first bad one is named
+        values = [_check_int(v, "bundle weight") for v in values]
+    if len(values) != count:
         raise ValidationError(
-            f"bundle weight count {len(bundle)} does not match point count {count}"
+            f"bundle weight count {len(values)} does not match point count {count}"
         )
+    return tuple(values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +101,13 @@ class FixedPointDatum:
 
 @dataclasses.dataclass(frozen=True)
 class FixedPointData:
-    """Validated fixed-point data: dimension, points, optional bundle weights."""
+    """Validated fixed-point data: dimension, points, optional bundle weights.
+
+    A bundle given as a tuple or a list is stored as a tuple of exact ints."""
 
     n: int
     points: tuple[FixedPointDatum, ...]
-    bundle: BundleWeights | None = None
+    bundle: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -157,7 +132,7 @@ class FixedPointData:
                 raise ValidationError(f'duplicate point label "{point.label}"')
             labels.add(point.label)
         if self.bundle is not None:
-            _check_bundle(self.bundle, len(self.points), "BundleWeights or None")
+            object.__setattr__(self, "bundle", _bundle(self.bundle, len(self.points)))
 
     @classmethod
     def _from_rows(cls, n: int, rows: Iterable[tuple[int, ...]], bundle=None) -> FixedPointData:
@@ -165,9 +140,9 @@ class FixedPointData:
 
         The caller guarantees that ``n`` is an exact int, that each row is a
         tuple of exactly ``n`` exact ints, ascending and nonzero, and that
-        ``bundle`` is None or a :class:`BundleWeights` with one weight per
-        row.  Points are labelled P1, P2, ...; the result equals, and hashes
-        like, the validated build.
+        ``bundle`` is None or a tuple of exact ints with one weight per row.
+        Points are labelled P1, P2, ...; the result equals, and hashes like,
+        the validated build.
         """
         new, put = object.__new__, object.__setattr__  # as __init__ does: no dict per point
         points = []
@@ -241,11 +216,9 @@ def validate(raw: Mapping[str, Any]) -> FixedPointData:
         if not isinstance(weights, list):
             raise ValidationError(f'"weights" of fixed point at index {index} must be a list')
         points.append(FixedPointDatum(label, weights))
-    bundle = None
-    if "bundle_weights" in raw:
-        if not isinstance(raw["bundle_weights"], list):
-            raise ValidationError('"bundle_weights" must be a list of integers')
-        bundle = BundleWeights(raw["bundle_weights"])
+    bundle = raw.get("bundle_weights")
+    if "bundle_weights" in raw and not isinstance(bundle, list):
+        raise ValidationError('"bundle_weights" must be a list of integers')
     return FixedPointData(n, tuple(points), bundle)
 
 
@@ -338,7 +311,7 @@ def _write(value: Any, newline: str) -> str:
         points = [{"label": p.label, "weights": p.weights} for p in value.points]
         document = {"n": value.n, "fixed_points": points}
         if value.bundle is not None:
-            document["bundle_weights"] = value.bundle.values
+            document["bundle_weights"] = value.bundle
         return _write(document, newline)
     if dataclasses.is_dataclass(kind):  # a result as its fields, in declaration order
         fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}

@@ -19,7 +19,7 @@ import dataclasses
 from fractions import Fraction
 
 from . import localization
-from .core import BundleWeights, FixedPointData, ValidationError, _check_int
+from .core import FixedPointData, ValidationError, _check_int
 from .models import _pairwise_differences
 
 
@@ -93,9 +93,10 @@ def _scale(data: FixedPointData, task: str) -> int:
     return data.n + 1
 
 
-def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> BundleWeights:
+def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> tuple[int, ...]:
     """Invert the affine relation weight_sum_i = k0 * a_i + offset on data
-    with n+1 points, normalizing the first bundle weight to 0.
+    with n+1 points: the bundle weights a_i as a tuple of ints, the first
+    normalized to 0.
 
     ``k0`` defaults to n+1.  Every weight-sum difference from the first point
     must be divisible by k0; for the default, the verdict's condition C then
@@ -115,7 +116,7 @@ def derive_bundle_weights(data: FixedPointData, k0: int | None = None) -> Bundle
                 f"point {point.label} is not divisible by {k0}"
             )
         values.append(quotient)
-    return BundleWeights(tuple(values))
+    return tuple(values)
 
 
 def first_chern_candidates(n: int) -> tuple[ChernClassCandidate, ...]:
@@ -158,8 +159,7 @@ def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
             bundle, source = derive_bundle_weights(data), "derived"
         except BundleDerivationError as exc:
             return RigidityVerdict(False, None, False, None, None, str(exc), None, str(exc))
-    normalized = bundle.normalized()
-    values = normalized.values
+    values = tuple([a - bundle[0] for a in bundle])
     # condition C for k0 = n+1: as the first normalized weight is 0, the first
     # point pins the offset to its weight sum
     offset = data.points[0].weight_sum
@@ -181,7 +181,7 @@ def hattori_verdict(data: FixedPointData) -> RigidityVerdict:
     # the a_i distinct, its top power is sum_i a_i^n / prod_{j != i} (a_i - a_j)
     # = 1, and its weight sums (n+1) a_i - sum(a) meet the relation for k0 = n+1
     passes, distinct = not mismatches, len(set(values)) == len(values)
-    bundle_power = Fraction(1) if passes else localization.line_bundle_power(data, normalized)
+    bundle_power = Fraction(1) if passes else localization.line_bundle_power(data, values)
     quasi_ample = distinct and bundle_power != 0
     # the hypotheses in order, each with the reason it fails
     ladder = (

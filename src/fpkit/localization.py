@@ -23,8 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import prod
 
-from .core import BundleWeights, FixedPointData, ValidationError, betti_numbers
-from .core import _check_bundle, _check_int
+from .core import FixedPointData, ValidationError, _bundle, _check_int, betti_numbers
 from .laurent import LaurentPoly
 
 _ZERO = Fraction(0)  # what a vanishing sum returns, without a gcd
@@ -186,15 +185,15 @@ def chern_monomial(data: FixedPointData, indices: Iterable[int]) -> Fraction:
     return localize(data, [[prod(s[i] for i in indices) for s in sigmas]])[0]
 
 
-def line_bundle_power(data: FixedPointData, bundle: BundleWeights) -> Fraction:
+def line_bundle_power(data: FixedPointData, bundle: Sequence[int]) -> Fraction:
     """Top self-intersection of a line bundle from its weights: sum of
     a_i^n / e_i.
 
-    The caller's normalization of the bundle weights is used as-is; only
+    ``bundle`` is a tuple or a list of integers, one per point.  The
+    caller's normalization of the bundle weights is used as-is; only
     shift-invariant downstream conclusions are geometrically meaningful.
     """
-    _check_bundle(bundle, data.point_count)
-    return localize(data, [[a**data.n for a in bundle.values]])[0]
+    return localize(data, [[a**data.n for a in _bundle(bundle, data.point_count)]])[0]
 
 
 def chi_y_from_data(data: FixedPointData) -> LaurentPoly:

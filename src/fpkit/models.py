@@ -8,7 +8,7 @@ import dataclasses
 from collections import Counter
 from collections.abc import Mapping, Sequence
 
-from .core import BundleWeights, FixedPointData, ValidationError, _check_int
+from .core import FixedPointData, ValidationError, _check_int
 
 
 def _pairwise_differences(values: Sequence[int]) -> list[tuple[int, ...]]:
@@ -34,7 +34,7 @@ def linear_pn(values: Sequence[int]) -> FixedPointData:
     >>> data = linear_pn((0, 1, 3))
     >>> [p.weights for p in data.points]
     [(-3, -1), (-2, 1), (2, 3)]
-    >>> data.bundle.values
+    >>> data.bundle
     (0, 1, 3)
     """
     entries = tuple(values)
@@ -53,9 +53,7 @@ def linear_pn(values: Sequence[int]) -> FixedPointData:
                 )
             seen[value] = None
         entries = tuple(seen)  # the values as exact ints
-    return FixedPointData._from_rows(
-        len(entries) - 1, _pairwise_differences(entries), BundleWeights(entries)
-    )
+    return FixedPointData._from_rows(len(entries) - 1, _pairwise_differences(entries), entries)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +131,7 @@ def pair_restriction_check(
     omitted_label = omitted[0] if len(omitted) == 1 else None
     bundle_at = None
     if ambient.bundle is not None and omitted_label is not None:
-        bundle_at = dict(zip(ambient.labels, ambient.bundle.values))
+        bundle_at = dict(zip(ambient.labels, ambient.bundle))
         left_out = bundle_at[omitted_label]
 
     rows = []

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import comb
 
 from fpkit.core import (
-    BundleWeights,
     FixedPointData,
     FixedPointDatum,
     serialize,
@@ -85,7 +84,7 @@ def test_criterion_04_quasi_ampleness():
             data = linear_pn(random_distinct(rng, n + 1))
             assert line_bundle_power(data, data.bundle) == 1
             assert hattori_verdict(data).quasi_ample
-            inverted = BundleWeights(tuple(-a for a in data.bundle.values))
+            inverted = tuple(-a for a in data.bundle)
             assert line_bundle_power(data, inverted) == (-1) ** n
             assert hattori_verdict(dataclasses.replace(data, bundle=inverted)).quasi_ample
 
@@ -97,9 +96,9 @@ def test_criterion_05_condition_c():
             values = random_distinct(rng, n + 1)
             data = linear_pn(values)
             derived = derive_bundle_weights(data)
-            assert derived.values == tuple(a - values[0] for a in values)
+            assert derived == tuple(a - values[0] for a in values)
             certificate = hattori_verdict(data).condition_c
-            assert certificate == ConditionCCertificate(n + 1, -sum(derived.values))
+            assert certificate == ConditionCCertificate(n + 1, -sum(derived))
 
 
 def test_criterion_06_rigidity_pipeline():

@@ -10,7 +10,6 @@ import pytest
 
 from fpkit.cli import build_parser, main
 from fpkit.core import (
-    BundleWeights,
     FixedPointData,
     FixedPointDatum,
     ValidationError,
@@ -253,7 +252,7 @@ def test_pair_fails_on_a_normal_weight_off_the_bundle_prediction(
     capsys, hyperplane_file, tmp_path
 ):
     # every point embeds, but the bundle (0, 2, 3) predicts the normal 2 - 3 at P2, not -2
-    ambient = FixedPointData(2, linear_pn((0, 1, 3)).points, BundleWeights((0, 2, 3)))
+    ambient = FixedPointData(2, linear_pn((0, 1, 3)).points, (0, 2, 3))
     report = pair_restriction_check(ambient, linear_pn((0, 1)))
     assert not report.passes and report.omitted_label == "P3"
     assert [row.embeds for row in report.points] == [True, True]
@@ -716,7 +715,7 @@ COUNTEREXAMPLE_STDOUT = """\
 
 
 def test_search_counterexample_document_is_pinned(capsys, monkeypatch):
-    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3)))
+    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 2, 3))
     experiment = RigidityExperiment(
         survivors=(data,),
         matches=(),
@@ -733,7 +732,7 @@ def test_output_dataclasses_hold_their_fields_in_declaration_order():
     # the CLI spreads vars() of a verdict or a report into its document, so
     # vars() must list exactly the dataclass fields, in order, as the writer does
     data = linear_pn((0, 1, 3))
-    verdict = hattori_verdict(dataclasses.replace(data, bundle=BundleWeights((0, 2, 3))))
+    verdict = hattori_verdict(dataclasses.replace(data, bundle=(0, 2, 3)))
     assert verdict.mismatches
     # P1's weights keep their sum, so the affine relation still holds
     skewed = FixedPointData(2, (FixedPointDatum("P1", (-5, 1)), *data.points[1:]))

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fpkit.core import (
-    BundleWeights,
     FixedPointData,
     FixedPointDatum,
     ValidationError,
@@ -42,9 +41,7 @@ def fixed_point_data(draw):
         for i in range(m)
     )
     if draw(st.booleans()):
-        bundle = BundleWeights(
-            tuple(draw(st.integers(min_value=-9, max_value=9)) for _ in range(m))
-        )
+        bundle = tuple(draw(st.integers(min_value=-9, max_value=9)) for _ in range(m))
     else:
         bundle = None
     return FixedPointData(n, points, bundle)
@@ -294,8 +291,13 @@ def test_data_needs_a_fixed_point():
 
 def test_data_rejects_points_and_bundles_of_the_wrong_type():
     point = FixedPointDatum("P", [1])
-    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights or None, got \[0\]$"):
-        FixedPointData(1, [point], bundle=[0])
+    assert FixedPointData(1, [point], bundle=[0]).bundle == (0,)
+    for bundle in (5, "0", {0: 0}):
+        shown = re.escape(repr(bundle))
+        with pytest.raises(
+            ValidationError, match=f"^bundle must be a tuple or a list of integers, got {shown}$"
+        ):
+            FixedPointData(1, [point], bundle=bundle)
     with pytest.raises(
         ValidationError,
         match=r"^fixed point \(index 0\) must be a FixedPointDatum, got \('P', \(1, 2\)\)$",
@@ -314,14 +316,6 @@ def test_datum_accepts_int_subclasses():
     assert betti_numbers(FixedPointData(3, (datum,))) == (0, 0, 1, 0)
 
 
-def test_bundle_weight_operations():
-    bundle = BundleWeights((0, 1, 3))
-    assert BundleWeights(v + 5 for v in bundle).normalized() == bundle
-    assert BundleWeights((5, 6, 8)).normalized().values == (0, 1, 3)
-    empty = BundleWeights(())
-    assert empty.normalized() is empty
-
-
 class Weight(int):
     pass
 
@@ -329,9 +323,8 @@ class Weight(int):
 def test_int_subclass_values_are_stored_as_int_and_serialize():
     # each constructor that accepts an int subclass keeps an exact int
     datum = FixedPointDatum("A", [Weight(-1)])
-    bundle = BundleWeights([Weight(0), 1])
-    data = FixedPointData(Weight(1), (datum, FixedPointDatum("B", [1])), bundle)
-    for leaf in (*datum.weights, *bundle.values, data.n):
+    data = FixedPointData(Weight(1), (datum, FixedPointDatum("B", [1])), [Weight(0), 1])
+    for leaf in (*datum.weights, *data.bundle, data.n):
         assert type(leaf) is int
     assert loads(serialize(data)) == data
     model = linear_pn([Weight(1), 2, 5])
@@ -429,10 +422,33 @@ def test_strings_skip_one_leading_byte_order_mark():
 
 
 def test_bundle_weights_name_the_first_bad_value():
+    model = linear_pn((0, 1, 3))
+    document = json.loads(serialize(model))
     for values, shown in (([0, True, 1.5], "True"), ([0, 1.5, True], r"1\.5"), (["1"], "'1'")):
-        with pytest.raises(ValidationError, match=f"^bundle weight must be an integer, got {shown}$"):
-            BundleWeights(values)
-    assert BundleWeights([0, Weight(2)]).values == (0, 2)
+        message = f"^bundle weight must be an integer, got {shown}$"
+        with pytest.raises(ValidationError, match=message):
+            FixedPointData(2, model.points, bundle=values)
+        with pytest.raises(ValidationError, match=message):
+            validate({**document, "bundle_weights": values})
+    assert FixedPointData(2, model.points, bundle=[0, Weight(2), 3]).bundle == (0, 2, 3)
+
+
+@given(st.data())
+def test_a_bundle_is_stored_as_a_tuple_of_exact_ints(data):
+    # a list or a tuple, some entries an int subclass, builds what _from_rows does
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(st.lists(weight_multisets(n), min_size=1, max_size=5))
+    weights = [data.draw(st.integers(min_value=-9, max_value=9)) for _ in rows]
+    values = [Weight(a) if data.draw(st.booleans()) else a for a in weights]
+    bundle = data.draw(st.sampled_from((list, tuple)))(values)
+    points = [FixedPointDatum(f"P{i}", row) for i, row in enumerate(rows, 1)]
+    built = FixedPointData(n, points, bundle)
+    assert type(built.bundle) is tuple
+    assert all(type(a) is int for a in built.bundle)
+    generated = FixedPointData._from_rows(n, [tuple(sorted(r)) for r in rows], tuple(weights))
+    assert built.bundle == generated.bundle == tuple(weights)
+    assert built == generated and hash(built) == hash(generated)
+    assert loads(serialize(built)) == built
 
 
 @given(fixed_point_data())

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fpkit import localization
 from fpkit.core import (
-    BundleWeights,
     FixedPointData,
     FixedPointDatum,
     ValidationError,
@@ -42,7 +41,7 @@ def test_condition_c_symbolic_offset_for_any_linear_model():
 def test_condition_c_failure_names_first_violation():
     # the weight sums -4, -1, 5 meet the relation for k0 = 3 with the bundle
     # (0, 1, 3); moving the second bundle weight breaks it there first
-    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3)))
+    data = dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 2, 3))
     verdict = hattori_verdict(data)
     assert verdict.condition_c is None
     assert verdict.condition_c_violation == (
@@ -51,12 +50,12 @@ def test_condition_c_failure_names_first_violation():
 
 
 def test_derive_bundle_weights_reference_cases():
-    assert derive_bundle_weights(linear_pn((0, 1, 3))).values == (0, 1, 3)
-    assert derive_bundle_weights(linear_pn((5, 6, 8))).values == (0, 1, 3)
+    assert derive_bundle_weights(linear_pn((0, 1, 3))) == (0, 1, 3)
+    assert derive_bundle_weights(linear_pn((5, 6, 8))) == (0, 1, 3)
     signs = FixedPointData(
         1, (FixedPointDatum("P1", (1,)), FixedPointDatum("P2", (-1,)))
     )
-    assert derive_bundle_weights(signs).values == (0, -1)
+    assert derive_bundle_weights(signs) == (0, -1)
 
 
 def test_derive_bundle_weights_requires_divisibility():
@@ -70,7 +69,7 @@ def test_derive_bundle_weights_requires_divisibility():
 def test_derive_bundle_weights_with_an_explicit_multiplier():
     data = linear_pn((0, 1, 3))  # weight sums -4, -1, 5
     assert derive_bundle_weights(data, 3) == derive_bundle_weights(data)
-    assert derive_bundle_weights(data, 1).values == (0, 3, 9)
+    assert derive_bundle_weights(data, 1) == (0, 3, 9)
     with pytest.raises(BundleDerivationError, match="3 at point P2 is not divisible by 2$"):
         derive_bundle_weights(data, 2)
     # k0 = 0: solvable exactly when every weight sum agrees, with a_i = 0
@@ -78,7 +77,7 @@ def test_derive_bundle_weights_with_an_explicit_multiplier():
         2, (FixedPointDatum("P1", (-1, 2)), FixedPointDatum("P2", (3, -2)),
             FixedPointDatum("P3", (4, -3)))
     )
-    assert derive_bundle_weights(level, 0).values == (0, 0, 0)
+    assert derive_bundle_weights(level, 0) == (0, 0, 0)
     with pytest.raises(BundleDerivationError, match="at point P2 is not divisible by 0$"):
         derive_bundle_weights(data, 0)
     for bad in (-1, True, 1.0):
@@ -95,9 +94,9 @@ def test_derive_bundle_weights_requires_matching_point_count():
 def test_quasi_ample_examples():
     data = linear_pn((0, 1, 3))
     assert hattori_verdict(data).quasi_ample
-    repeated = dataclasses.replace(data, bundle=BundleWeights((0, 0, 1)))
+    repeated = dataclasses.replace(data, bundle=(0, 0, 1))
     assert not hattori_verdict(repeated).quasi_ample
-    inverted = BundleWeights(tuple(-a for a in data.bundle.values))
+    inverted = tuple(-a for a in data.bundle)
     assert hattori_verdict(dataclasses.replace(data, bundle=inverted)).quasi_ample
 
 
@@ -111,7 +110,7 @@ def test_quasi_ample_rejects_zero_top_power():
             FixedPointDatum("P2", (1, 1)),
             FixedPointDatum("P3", (-1, 1)),
         ),
-        BundleWeights((0, 1, -1)),
+        (0, 1, -1),
     )
     verdict = hattori_verdict(data)
     assert verdict.bundle_power == 0
@@ -121,7 +120,7 @@ def test_quasi_ample_rejects_zero_top_power():
 def test_hypothesis_failure_names_the_first_failing_hypothesis():
     def failure(rows, bundle=None):
         points = tuple(FixedPointDatum(f"P{i + 1}", w) for i, w in enumerate(rows))
-        data = FixedPointData(len(rows) - 1, points, bundle and BundleWeights(bundle))
+        data = FixedPointData(len(rows) - 1, points, bundle)
         return hattori_verdict(data).hypothesis_failure
 
     cp2 = [(-3, -1), (-2, 1), (2, 3)]
@@ -211,7 +210,7 @@ def test_hattori_verdict_uses_the_attached_bundle_else_derives_one():
     data = linear_pn((0, 1, 3))
     stripped = FixedPointData(2, data.points)
     assert hattori_verdict(stripped).passes
-    wrong = BundleWeights((0, 2, 1))
+    wrong = (0, 2, 1)
     verdict = hattori_verdict(dataclasses.replace(data, bundle=wrong))
     assert not verdict.passes
     assert verdict.normalized_bundle == (0, 2, 1)
@@ -228,15 +227,16 @@ def test_hattori_verdict_checks_bundle_length():
     with pytest.raises(
         ValidationError, match="^bundle weight count 2 does not match point count 3$"
     ):
-        hattori_verdict(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 1))))
+        hattori_verdict(dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 1)))
 
 
-def test_bundle_arguments_must_be_bundle_weights():
+def test_bundle_arguments_must_be_a_tuple_or_a_list():
     data = linear_pn((0, 1, 3))
-    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights or None, got \[0, 1, 3\]$"):
-        hattori_verdict(dataclasses.replace(data, bundle=[0, 1, 3]))
-    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \(0, 1, 3\)$"):
-        localization.line_bundle_power(data, (0, 1, 3))
+    listed = dataclasses.replace(data, bundle=[0, 1, 3])
+    assert listed.bundle == data.bundle
+    assert hattori_verdict(listed) == hattori_verdict(data)
+    with pytest.raises(ValidationError, match="^bundle must be a tuple or a list of integers, got 5$"):
+        hattori_verdict(dataclasses.replace(data, bundle=5))
 
 
 def test_hattori_verdict_reports_a_derivation_failure_as_condition_c():
@@ -266,7 +266,7 @@ def test_hattori_verdict_reports_a_derivation_failure_as_condition_c():
 def test_verdict_invariant_under_bundle_shift(n, shift, rng):
     values = tuple(rng.sample(range(-20, 21), n + 1))
     data = linear_pn(values)
-    shifted = BundleWeights(v + shift for v in data.bundle)
+    shifted = tuple(v + shift for v in data.bundle)
     assert hattori_verdict(dataclasses.replace(data, bundle=shifted)) == hattori_verdict(data)
 
 
@@ -310,7 +310,6 @@ def verdict_inputs(draw):
             bundle = [a + shift for a in values]
             if kind == "perturbed":
                 bundle[draw(st.integers(min_value=0, max_value=n))] += draw(weight)
-        bundle = BundleWeights(bundle)
     return FixedPointData(n, tuple(points), bundle)
 
 
@@ -327,7 +326,7 @@ def test_passes_is_the_conjunction_of_hypotheses_and_conclusion(data):
 
 
 @given(verdict_inputs())
-@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 2, 3))))
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 2, 3)))
 def test_condition_c_is_the_affine_relation_with_multiplier_n_plus_one(data):
     # the relation holds iff s_i - s_0 = (n+1)(a_i - a_0) at every point; the
     # certificate and the message are those of the normalized bundle
@@ -335,7 +334,7 @@ def test_condition_c_is_the_affine_relation_with_multiplier_n_plus_one(data):
     s = [p.weight_sum for p in data.points]
     k0 = data.n + 1
     if data.bundle is not None:
-        a = [v - data.bundle.values[0] for v in data.bundle.values]
+        a = [v - data.bundle[0] for v in data.bundle]
     else:
         # the derived bundle a_i = (s_i - s_0) / k0 exists unless some
         # difference is not a multiple of k0, and then condition C fails
@@ -376,8 +375,8 @@ def reference_mismatches(data, values):
 
 
 @given(verdict_inputs())
-@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 0, 1))))
-@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((4, 4, 4))))
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 0, 1)))
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=(4, 4, 4)))
 def test_verdict_is_held_to_the_localization_kernel(data):
     # a passing verdict reads its top power off the Lagrange identity; the
     # kernel and the old per-point sort are the references for every verdict
@@ -387,13 +386,13 @@ def test_verdict_is_held_to_the_localization_kernel(data):
         assert (verdict.bundle_power, verdict.quasi_ample, verdict.mismatches) == (None, False, None)
         return
     bundle = data.bundle if data.bundle is not None else derive_bundle_weights(data)
-    normalized = bundle.normalized()
-    assert verdict.normalized_bundle == normalized.values
+    normalized = tuple(a - bundle[0] for a in bundle)
+    assert verdict.normalized_bundle == normalized
     power = localization.line_bundle_power(data, normalized)
     assert verdict.bundle_power == power
-    distinct = len(set(normalized.values)) == len(normalized.values)
+    distinct = len(set(normalized)) == len(normalized)
     assert verdict.quasi_ample == (distinct and power != 0)
-    assert verdict.mismatches == reference_mismatches(data, normalized.values)
+    assert verdict.mismatches == reference_mismatches(data, normalized)
 
 
 def test_survivors_with_distinct_derived_weights_have_nonzero_top_power():
@@ -423,7 +422,7 @@ def test_survivors_with_distinct_derived_weights_have_nonzero_top_power():
         ),
     )
 )
-@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=BundleWeights((0, 0, 1))))
+@example(dataclasses.replace(linear_pn((0, 1, 3)), bundle=(0, 0, 1)))
 def test_hypothesis_failure_is_the_first_failing_hypothesis(data):
     # the verdict never raises on valid data; the reference ladder reads the
     # other fields: condition C, distinct weights, a nonzero and integral power

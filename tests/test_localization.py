@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fpkit import cli
 from fpkit.core import (
-    BundleWeights,
     FixedPointData,
     FixedPointDatum,
     ValidationError,
@@ -184,14 +183,14 @@ def test_chern_monomial_rejects_wrong_degree():
 def test_line_bundle_power_examples():
     data = linear_pn((0, 1, 3))
     assert line_bundle_power(data, data.bundle) == 1
-    assert line_bundle_power(linear_pn((0, 1)), BundleWeights((0, 1))) == 1
-    inverted = BundleWeights(tuple(-a for a in data.bundle.values))
+    assert line_bundle_power(linear_pn((0, 1)), (0, 1)) == 1
+    inverted = tuple(-a for a in data.bundle)
     assert line_bundle_power(data, inverted) == 1
 
 
 def test_line_bundle_power_checks_alignment():
     with pytest.raises(ValueError, match="does not match point count"):
-        line_bundle_power(linear_pn((0, 1, 3)), BundleWeights((0, 1)))
+        line_bundle_power(linear_pn((0, 1, 3)), (0, 1))
 
 
 def test_chi_y_from_data_examples():
@@ -311,9 +310,14 @@ def test_k_coefficients_rejects_a_non_polynomial_argument():
         k_coefficients([1, 2], 2)
 
 
-def test_line_bundle_power_rejects_a_plain_list():
-    with pytest.raises(ValidationError, match=r"^bundle must be BundleWeights, got \[0, 1, 3\]$"):
-        line_bundle_power(linear_pn((0, 1, 3)), [0, 1, 3])
+def test_line_bundle_power_takes_a_list_or_a_tuple():
+    data = linear_pn((0, 1, 3))
+    assert line_bundle_power(data, [0, 2, 3]) == line_bundle_power(data, (0, 2, 3)) != 1
+    for bundle in (5, None):
+        with pytest.raises(
+            ValidationError, match=f"^bundle must be a tuple or a list of integers, got {bundle}$"
+        ):
+            line_bundle_power(data, bundle)
 
 
 @st.composite
@@ -493,7 +497,7 @@ def test_kernel_matches_plain_fraction_sums(data, draw):
             max_size=data.point_count,
         )
     )
-    assert line_bundle_power(data, BundleWeights(bundle)) == plain_sum(
+    assert line_bundle_power(data, bundle) == plain_sum(
         data, [a**n for a in bundle]
     )
 
@@ -581,7 +585,7 @@ def test_each_data_object_computes_its_own_denominator(monkeypatch):
     assert data.common_denominator is first
     assert reads[0] == 4
     others = (
-        dataclasses.replace(data, bundle=BundleWeights((0, 1, 3, 7))),
+        dataclasses.replace(data, bundle=(0, 1, 3, 7)),
         dataclasses.replace(data),
         FixedPointData(data.n, data.points),
     )

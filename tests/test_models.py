@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpkit.core import BundleWeights, FixedPointData, FixedPointDatum, ValidationError, serialize
+from fpkit.core import FixedPointData, FixedPointDatum, ValidationError, serialize
 from fpkit.hattori import hattori_verdict
 from fpkit.localization import residue_constraints_hold
 from fpkit.models import _pairwise_differences, linear_pn, pair_restriction_check
@@ -19,7 +19,7 @@ def test_linear_pn_smallest_case():
     data = linear_pn((0, 1))
     assert data.n == 1
     assert [p.weights for p in data.points] == [(-1,), (1,)]
-    assert data.bundle.values == (0, 1)
+    assert data.bundle == (0, 1)
 
 
 def test_linear_pn_reference_case():
@@ -70,7 +70,7 @@ def test_linear_pn_matches_the_pairwise_difference_definition():
         data = linear_pn(entries)
         assert [p.weights for p in data.points] == old_linear_pn_weights(entries)
         assert data.labels == tuple(f"P{i + 1}" for i in range(len(entries)))
-        assert data.bundle.values == tuple(entries)
+        assert data.bundle == tuple(entries)
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=9))
@@ -102,7 +102,7 @@ def validated_linear_pn(values):
     # the same data through the checking constructors
     rows = [sorted(a - b for j, b in enumerate(values) if j != i) for i, a in enumerate(values)]
     points = tuple(FixedPointDatum(f"P{i}", row) for i, row in enumerate(rows, 1))
-    return FixedPointData(len(values) - 1, points, BundleWeights(values))
+    return FixedPointData(len(values) - 1, points, values)
 
 
 @given(distinct_entries, st.data())
@@ -114,7 +114,7 @@ def test_linear_pn_equals_the_validated_build(values, draw):
     assert data.common_denominator == reference.common_denominator
     assert serialize(data) == serialize(reference)
     assert {type(w) for p in data.points for w in p.weights} == {int}
-    assert {type(v) for v in data.bundle.values} == {int}
+    assert {type(v) for v in data.bundle} == {int}
 
 
 class OddDifference(int):
@@ -139,7 +139,7 @@ def test_trusted_linear_data_keeps_the_dataclass_behaviour():
     with pytest.raises(ValidationError, match="expected n = 3"):
         dataclasses.replace(data, n=3)
     with pytest.raises(ValidationError, match="does not match point count"):
-        dataclasses.replace(data, bundle=BundleWeights((0, 1)))
+        dataclasses.replace(data, bundle=(0, 1))
 
 
 def test_hyperplane_model_matches_linear_recipe():

@@ -221,7 +221,7 @@ def test_quasi_ampleness_fails_on_survivors_only_by_repeated_weights(n, bound, r
     flagged = [data for data, why in experiment.hypothesis_failures if why == reason]
     assert len(flagged) == repeated
     for data in flagged:
-        derived = derive_bundle_weights(data).values
+        derived = derive_bundle_weights(data)
         assert len(set(derived)) < len(derived), data
 
 
